@@ -14,10 +14,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 from .cliques import count_s_cliques
-from .enumeration import EnumerationTask, connected_graphs
+from .enumeration import EnumerationTask, connected_graphs, map_partitions
 from .extremal import (
     construct_b1,
     construct_b2,
@@ -51,6 +52,26 @@ def _default_workers() -> int:
         return max(1, int(os.environ.get("CLIQUEX_WORKERS", "1")))
     except ValueError:
         return 1
+
+
+def _worker_count(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"need a positive worker count, got {text!r}")
+    return workers
+
+
+def _parse_clique_orders(text: str) -> set[int]:
+    try:
+        orders = {int(tok) for tok in text.split(",") if tok.strip()}
+    except ValueError:
+        orders = set()
+    if not orders:
+        raise argparse.ArgumentTypeError(f"need comma-separated clique orders, got {text!r}")
+    return orders
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="one graph6 line per isomorphism class")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=_worker_count, default=_default_workers())
 
     p = sub.add_parser("verify", help="run a theorem harness and emit a JSON report")
     p.add_argument(
@@ -117,8 +138,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("max-cliques", "extremal-kernels", "s-order", "lemmas"),
     )
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--s", default="3", help="comma-separated clique orders")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--s", type=_parse_clique_orders, default="3", help="comma-separated clique orders")
+    p.add_argument("--workers", type=_worker_count, default=_default_workers())
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iterations", type=int, default=1000)
     p.add_argument("--out", default=None, help="report path (default stdout)")
@@ -160,6 +181,10 @@ def _read_graphs(args: argparse.Namespace) -> list[Graph]:
     if not graphs:
         raise ValueError("no graph6 records found in input")
     return graphs
+
+
+def _graph6_lines(task: EnumerationTask) -> list[str]:
+    return [to_graph6(g) for g in connected_graphs(task)]
 
 
 def _emit_report(report: VerificationReport, out: str | None) -> int:
@@ -220,22 +245,16 @@ def run(argv: list[str]) -> int:
             return _cmd_construct(args)
 
         if args.command == "enumerate":
-            lines = []
-            for w in range(args.workers):
-                task = EnumerationTask(
-                    args.n, args.m, worker_index=w, worker_count=args.workers
-                )
-                lines.extend(to_graph6(g) for g in connected_graphs(task))
-            for line in sorted(lines):
+            parts = map_partitions(_graph6_lines, args.n, args.m, args.workers)
+            for line in sorted(chain.from_iterable(parts)):
                 print(line)
             return EXIT_OK
 
         if args.command == "verify":
-            s_values = {int(tok) for tok in str(args.s).split(",") if tok.strip()}
             if args.target == "max-cliques":
-                report = verify_max_cliques(args.nmax, s_values, args.workers, args.seed)
+                report = verify_max_cliques(args.nmax, args.s, args.workers, args.seed)
             elif args.target == "extremal-kernels":
-                report = verify_extremal_kernels(args.nmax, s_values, args.workers, args.seed)
+                report = verify_extremal_kernels(args.nmax, args.s, args.workers, args.seed)
             elif args.target == "s-order":
                 report = verify_s_order_last(args.nmax, args.workers, args.seed)
             else:

@@ -11,6 +11,22 @@ from __future__ import annotations
 from .graphs import Graph
 
 
+def _count_within(adj: tuple[int, ...], candidates: int, want: int) -> int:
+    """want-cliques among the vertices of the candidates mask."""
+    if want == 1:
+        return candidates.bit_count()
+    if candidates.bit_count() < want:
+        return 0
+    total = 0
+    rest = candidates
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u = low.bit_length() - 1
+        total += _count_within(adj, rest & adj[u], want - 1)
+    return total
+
+
 def count_s_cliques(g: Graph, s: int) -> int:
     """Number of vertex s-subsets inducing a complete subgraph.
 
@@ -20,24 +36,7 @@ def count_s_cliques(g: Graph, s: int) -> int:
         raise ValueError("clique order must be at least 1")
     if s > g.n:
         return 0
-    full = (1 << g.n) - 1
-    adj = g.adj
-
-    def rec(candidates: int, want: int) -> int:
-        if want == 1:
-            return candidates.bit_count()
-        if candidates.bit_count() < want:
-            return 0
-        total = 0
-        rest = candidates
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
-            total += rec(rest & adj[u], want - 1)
-        return total
-
-    return rec(full, s)
+    return _count_within(g.adj, (1 << g.n) - 1, s)
 
 
 def clique_counts_upto(g: Graph, s_max: int) -> tuple[int, ...]:
@@ -62,29 +61,6 @@ def clique_counts_upto(g: Graph, s_max: int) -> tuple[int, ...]:
     return tuple(counts[1:])
 
 
-def count_cliques_in_subset(g: Graph, subset_mask: int, s: int) -> int:
-    """s-cliques of g contained in the given vertex mask."""
-    if s < 1:
-        raise ValueError("clique order must be at least 1")
-    adj = g.adj
-
-    def rec(candidates: int, want: int) -> int:
-        if want == 1:
-            return candidates.bit_count()
-        if candidates.bit_count() < want:
-            return 0
-        total = 0
-        rest = candidates
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
-            total += rec(rest & adj[u], want - 1)
-        return total
-
-    return rec(subset_mask, s)
-
-
 def deletion_identity_check(g: Graph, v: int, s: int) -> tuple[int, int]:
     """Both sides of the one-vertex clique split at v.
 
@@ -97,7 +73,5 @@ def deletion_identity_check(g: Graph, v: int, s: int) -> tuple[int, int]:
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} not in graph")
     lhs = count_s_cliques(g, s)
-    without = g.remove_vertex(v)
-    rhs = count_s_cliques(without, s) if without.n else 0
-    rhs += count_cliques_in_subset(g, g.adj[v], s - 1)
+    rhs = count_s_cliques(g.remove_vertex(v), s) + _count_within(g.adj, g.adj[v], s - 1)
     return lhs, rhs

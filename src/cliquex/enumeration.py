@@ -14,9 +14,11 @@ dedup) covers n <= 7 as the correctness oracle for the engine itself.
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, permutations
-from typing import Callable, Iterator
+from typing import Any, Callable, Hashable, Iterable, Iterator
 
 import numpy as np
 
@@ -140,32 +142,62 @@ def connected_graphs(task: EnumerationTask) -> Iterator[Graph]:
             stack.extend(_children(g, n, m))
 
 
-def class_fold(
-    task: EnumerationTask,
-    measure: Callable[[Graph], int],
-    reduce: str = "argmax-set",
-) -> tuple[int, list[Graph]]:
-    """Maximum of ``measure`` over the class, with the graphs attaining
-    it (canonical representatives, sorted by canonical form).
+def map_partitions(fn: Callable[[EnumerationTask], Any], n: int, m: int | None = None,
+                   workers: int = 1) -> list:
+    """``fn`` applied to each of the ``workers`` slices of the (n, m)
+    generation tree, in slice order: in process when ``workers == 1``,
+    otherwise one process per slice (``fn`` must then be picklable)."""
+    tasks = [EnumerationTask(n, m, worker_index=w, worker_count=workers) for w in range(workers)]
+    if workers == 1:
+        return [fn(tasks[0])]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
 
-    ``reduce="max"`` keeps a single witness; ``"argmax-set"`` keeps all.
-    The result does not depend on the task's worker partition.
-    """
-    if reduce not in ("max", "argmax-set"):
-        raise ValueError(f"unknown reduction {reduce!r}")
-    best: int | None = None
-    witnesses: list[Graph] = []
+
+def _keep_max(best: dict, cell: Hashable, value, graphs: list[Graph]) -> None:
+    prev = best.get(cell)
+    if prev is None or value > prev[0]:
+        best[cell] = (value, graphs)
+    elif value == prev[0]:
+        prev[1].extend(graphs)
+
+
+def _fold_task(cells: Callable[[Graph], Iterable[tuple[Hashable, Any]]],
+               task: EnumerationTask) -> dict:
+    best: dict = {}
     for g in connected_graphs(task):
-        value = measure(g)
-        if best is None or value > best:
-            best = value
-            witnesses = [g]
-        elif value == best and reduce == "argmax-set":
-            witnesses.append(g)
-    if best is None:
+        for cell, value in cells(g):
+            _keep_max(best, cell, value, [g])
+    return best
+
+
+def argmax_fold(n: int, cells: Callable[[Graph], Iterable[tuple[Hashable, Any]]],
+                workers: int = 1) -> dict:
+    """{cell: (maximum value, every graph attaining it)} over all
+    connected graphs of order n, where ``cells(g)`` yields the
+    (cell, value) pairs of one graph.
+
+    One enumeration pass per slice; slices merge by the same rule, so
+    the maxima and the attaining sets do not depend on ``workers``
+    (the order of graphs within a set does).
+    """
+    best: dict = {}
+    for part in map_partitions(partial(_fold_task, cells), n, workers=workers):
+        for cell, (value, graphs) in part.items():
+            _keep_max(best, cell, value, graphs)
+    return best
+
+
+def class_fold(task: EnumerationTask, measure: Callable[[Graph], int]) -> tuple[int, list[Graph]]:
+    """Maximum of ``measure`` over the task's slice of the class, with
+    every graph attaining it (canonical representatives, sorted by
+    canonical form). An empty slice raises ``ValueError``."""
+    best = _fold_task(lambda g: ((None, measure(g)),), task)
+    if not best:
         raise ValueError(f"empty class for n={task.n}, m={task.m}")
+    value, witnesses = best[None]
     witnesses.sort(key=canonical_form)
-    return best, witnesses
+    return value, witnesses
 
 
 # ── labeled-enumeration fallback (correctness oracle) ─────────────

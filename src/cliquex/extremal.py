@@ -24,12 +24,9 @@ def choose(a: int, b: int) -> int:
     return comb(a, b)
 
 
-class ConnectedDecomposition(NamedTuple):
-    r: int
-    t: int
+class Decomposition(NamedTuple):
+    """An (r, t) pair from decompose_connected or decompose_erdos."""
 
-
-class ErdosDecomposition(NamedTuple):
     r: int
     t: int
 
@@ -39,23 +36,23 @@ def feasible_size(m: int, n: int) -> bool:
     return n >= 1 and n - 1 <= m <= n * (n - 1) // 2
 
 
-def decompose_connected(m: int, n: int) -> ConnectedDecomposition:
+def decompose_connected(m: int, n: int) -> Decomposition:
     """Unique (r, t) with m - n = C(r-1, 2) + t - 2 and 2 <= t <= r,
     or (1, 1) for trees (m = n - 1)."""
     if not feasible_size(m, n):
         raise ValueError(f"no connected graph has n={n}, m={m}")
     excess = m - n
     if excess == -1:
-        return ConnectedDecomposition(1, 1)
+        return Decomposition(1, 1)
     r = 2
     while choose(r - 1, 2) + r < excess + 2:
         r += 1
     t = excess + 2 - choose(r - 1, 2)
     assert 2 <= t <= r
-    return ConnectedDecomposition(r, t)
+    return Decomposition(r, t)
 
 
-def decompose_erdos(m: int) -> ErdosDecomposition:
+def decompose_erdos(m: int) -> Decomposition:
     """m = C(r, 2) + t with r maximal, hence 0 <= t < r.
 
     Taking r maximal resolves the boundary ambiguity (t = r versus
@@ -67,7 +64,7 @@ def decompose_erdos(m: int) -> ErdosDecomposition:
     r = 1
     while choose(r + 1, 2) <= m:
         r += 1
-    return ErdosDecomposition(r, m - choose(r, 2))
+    return Decomposition(r, m - choose(r, 2))
 
 
 def max_cliques_bound(m: int, n: int, s: int) -> int:
@@ -127,11 +124,8 @@ def kernel(g: Graph, s: int) -> Graph:
     """
     if s < 0:
         raise ValueError("peeling threshold must be non-negative")
-    core = core_numbers(g)
-    keep = [v for v in range(g.n) if core[v] >= s + 1]
-    if not keep:
-        return Graph(0, ())
-    return g.induced_subgraph(keep)
+    keep = kernel_vertices(g, s)
+    return g.induced_subgraph(keep) if keep else Graph(0, ())
 
 
 def kernel_vertices(g: Graph, s: int) -> frozenset[int]:

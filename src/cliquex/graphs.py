@@ -46,6 +46,10 @@ class Graph6PaddingError(Graph6Error):
     """Nonzero bits in the zero-padding tail of the last data byte."""
 
 
+class Graph6AlphabetError(Graph6Error):
+    """A non-ASCII character, or a data byte outside the graph6 alphabet."""
+
+
 def _bits(mask: int) -> Iterator[int]:
     """Yield set bit positions of ``mask`` in increasing order."""
     while mask:
@@ -387,7 +391,9 @@ def from_graph6(text: str) -> Graph:
         s = s[len(_G6_HEADER):]
     if not s:
         raise Graph6HeaderError("empty record")
-    data = s.encode("ascii", errors="replace")
+    if not s.isascii():
+        raise Graph6AlphabetError("non-ASCII character in record")
+    data = s.encode("ascii")
     if data[0] == 126:  # '~': multi-byte order
         if len(data) >= 2 and data[1] == 126:
             raise Graph6HeaderError("8-byte order field exceeds the 64-vertex cap")
@@ -416,7 +422,7 @@ def from_graph6(text: str) -> Graph:
     for byte in body:
         group = byte - 63
         if not 0 <= group < 64:
-            raise Graph6Error(f"data byte {byte} outside graph6 alphabet")
+            raise Graph6AlphabetError(f"data byte {byte} outside graph6 alphabet")
         for k in range(5, -1, -1):
             if bit >= nbits:
                 if (group >> k) & 1:

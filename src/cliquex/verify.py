@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
 from .cliques import clique_counts_upto, count_s_cliques, deletion_identity_check
-from .enumeration import EnumerationTask, connected_graphs
+from .enumeration import MAX_EXHAUSTIVE_ORDER, EnumerationTask, argmax_fold, connected_graphs
 from .extremal import (
     choose,
     construct_b2,
@@ -82,74 +81,32 @@ def _random_connected_graph(rng: random.Random, n: int, p: float = 0.45) -> Grap
             return g
 
 
-# ── per-order enumeration passes (picklable worker payloads) ──────
+# ── argument checks and fold cells (picklable worker payloads) ────
 
 
-def _pass_cliques(s_max: int, task: EnumerationTask) -> dict[int, tuple[tuple[int, ...], list[Graph]]]:
-    """Per size m: the per-s maxima of k_s (s = 3..s_max) and every
-    graph attaining any of them."""
-    out: dict[int, tuple[tuple[int, ...], list[Graph]]] = {}
-    for g in connected_graphs(task):
-        counts = clique_counts_upto(g, s_max)[2:]  # k_3 .. k_{s_max}
-        prev = out.get(g.m)
-        if prev is None:
-            out[g.m] = (counts, [g])
-            continue
-        best, gallery = prev
-        if any(c >= b for c, b in zip(counts, best)):
-            merged = tuple(max(c, b) for c, b in zip(counts, best))
-            out[g.m] = (merged, gallery + [g])
-    return out
+def _check_n_max(n_max: int, lowest: int) -> None:
+    """Reject, before any enumeration, an order cap whose grid would be
+    empty or that exhaustive enumeration cannot reach."""
+    if not lowest <= n_max <= MAX_EXHAUSTIVE_ORDER:
+        raise ValueError(
+            f"n_max must lie in {lowest}..{MAX_EXHAUSTIVE_ORDER} for this grid, got {n_max}"
+        )
 
 
-def _pass_moments(task: EnumerationTask) -> dict[int, tuple[tuple[int, ...], list[Graph]]]:
-    """Per size m: the lexicographic maximum of the moment sequence and
-    all graphs attaining it."""
-    out: dict[int, tuple[tuple[int, ...], list[Graph]]] = {}
-    for g in connected_graphs(task):
-        key = moment_sequence(g)
-        prev = out.get(g.m)
-        if prev is None or key > prev[0]:
-            out[g.m] = (key, [g])
-        elif key == prev[0]:
-            prev[1].append(g)
-    return out
+def _clique_orders(s_values: set[int]) -> list[int]:
+    svals = sorted(s_values)
+    if not svals or svals[0] < 3:
+        raise ValueError("clique orders must be given, and orders below 3 are out of scope")
+    return svals
 
 
-def _run_partitions(n: int, workers: int, fn) -> list[dict]:
-    tasks = [
-        EnumerationTask(n, worker_index=w, worker_count=workers) for w in range(workers)
-    ]
-    if workers == 1:
-        return [fn(tasks[0])]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+def _clique_cells(svals: tuple[int, ...], g: Graph) -> list[tuple[tuple[int, int], int]]:
+    counts = clique_counts_upto(g, svals[-1])
+    return [((g.m, s), counts[s - 1]) for s in svals]
 
 
-def _merged_clique_pass(n: int, s_max: int, workers: int) -> dict[int, tuple[tuple[int, ...], list[Graph]]]:
-    merged: dict[int, tuple[tuple[int, ...], list[Graph]]] = {}
-    for part in _run_partitions(n, workers, partial(_pass_cliques, s_max)):
-        for m, (counts, gallery) in part.items():
-            if m not in merged:
-                merged[m] = (counts, list(gallery))
-            else:
-                best, total = merged[m]
-                merged[m] = (
-                    tuple(max(c, b) for c, b in zip(counts, best)),
-                    total + gallery,
-                )
-    return merged
-
-
-def _merged_moment_pass(n: int, workers: int) -> dict[int, tuple[tuple[int, ...], list[Graph]]]:
-    merged: dict[int, tuple[tuple[int, ...], list[Graph]]] = {}
-    for part in _run_partitions(n, workers, _pass_moments):
-        for m, (key, gallery) in part.items():
-            if m not in merged or key > merged[m][0]:
-                merged[m] = (key, list(gallery))
-            elif key == merged[m][0]:
-                merged[m] = (key, merged[m][1] + gallery)
-    return merged
+def _moment_cells(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
+    return [(g.m, moment_sequence(g))]
 
 
 # ── Theorem harness: maximum clique counts ────────────────────────
@@ -162,18 +119,14 @@ def verify_max_cliques(
     order up to n_max and every feasible size."""
     start = time.perf_counter()
     report = VerificationReport("max-cliques", seed=seed)
-    svals = sorted(s_values)
-    if any(s < 3 for s in svals):
-        raise ValueError("clique orders below 3 are out of scope")
-    s_max = max(svals)
+    svals = _clique_orders(s_values)
+    _check_n_max(n_max, 3)
     for n in range(3, n_max + 1):
-        folded = _merged_clique_pass(n, s_max, workers)
+        folded = argmax_fold(n, partial(_clique_cells, tuple(svals)), workers)
         for m in range(n - 1, n * (n - 1) // 2 + 1):
-            counts, gallery = folded[m]
             for s in svals:
-                observed = counts[s - 3]
+                observed, attain = folded[(m, s)]
                 predicted = max_cliques_bound(m, n, s)
-                attain = [g for g in gallery if clique_counts_upto(g, s)[s - 1] == observed]
                 status = "match" if observed == predicted else "mismatch"
                 report.grid.append(
                     {
@@ -218,22 +171,16 @@ def verify_extremal_kernels(
     found in the allowed families."""
     start = time.perf_counter()
     report = VerificationReport("extremal-kernels", seed=seed)
-    svals = sorted(s_values)
-    if any(s < 3 for s in svals):
-        raise ValueError("clique orders below 3 are out of scope")
-    s_max = max(svals)
+    svals = _clique_orders(s_values)
+    _check_n_max(n_max, svals[0])  # n < s leaves no room for the excess the kernel needs
     for n in range(3, n_max + 1):
-        folded = _merged_clique_pass(n, s_max, workers)
+        folded = argmax_fold(n, partial(_clique_cells, tuple(svals)), workers)
         for m in range(n - 1, n * (n - 1) // 2 + 1):
             r, t = decompose_connected(m, n)
-            counts, gallery = folded[m]
             for s in svals:
                 if m - n < choose(s, 2) - s:
                     continue
-                observed_max = counts[s - 3]
-                extremal = [
-                    g for g in gallery if clique_counts_upto(g, s)[s - 1] == observed_max
-                ]
+                _, extremal = folded[(m, s)]
                 allowed = _allowed_kernel_codes(n, r, t, s)
                 bad = [
                     g for g in extremal if canonical_form(kernel(g, s - 2)) not in allowed
@@ -267,8 +214,9 @@ def verify_s_order_last(n_max: int, workers: int = 1, seed: int = 0) -> Verifica
     bridge competitor is compared and recorded under "b_pair"."""
     start = time.perf_counter()
     report = VerificationReport("s-order-last", seed=seed)
+    _check_n_max(n_max, 4)
     for n in range(4, n_max + 1):
-        folded = _merged_moment_pass(n, workers)
+        folded = argmax_fold(n, _moment_cells, workers)
         for m in range(n, n * (n - 1) // 2 + 1):
             key, gallery = folded[m]
             classes = sorted({canonical_form(g) for g in gallery})
@@ -328,37 +276,6 @@ def _suite_excess_kernels(rng: random.Random, iterations: int) -> tuple[int, int
     return passes, iterations, bad
 
 
-def _suite_noncut_vertex(n_max: int) -> tuple[int, int, list[Graph]]:
-    """Every 2-core either is the (r+1)-clique or owns a non-cutvertex
-    of degree at most r - 1.
-
-    Holds for r >= 3 only: at r = 2 every unicyclic graph whose cycle
-    is longer than a triangle is a counterexample (its 2-core is a
-    cycle, all degrees 2 > r - 1, and it is not K_3), so the suite
-    checks the r >= 3 domain where the statement is sound.
-    """
-    passes = total = 0
-    bad: list[Graph] = []
-    for n in range(3, n_max + 1):
-        for g in connected_graphs(EnumerationTask(n)):
-            if g.m < g.n:
-                continue
-            r, _ = decompose_connected(g.m, g.n)
-            if r < 3:
-                continue
-            total += 1
-            core = kernel(g, 1)
-            if canonical_form(core) == canonical_form(Graph.complete(r + 1)):
-                passes += 1
-                continue
-            cuts = core.articulation_points()
-            if any(core.degree(u) <= r - 1 for u in range(core.n) if u not in cuts):
-                passes += 1
-            else:
-                bad.append(g)
-    return passes, total, bad
-
-
 def _suite_binomial_rebalance() -> tuple[int, int, list]:
     """C(a,s)+C(b,s) <= C(c,s)+C(a+b-c,s) on the full desk grid, with
     equality exactly when c <= s-1 or c = max(a, b)."""
@@ -376,22 +293,6 @@ def _suite_binomial_rebalance() -> tuple[int, int, list]:
                         passes += 1
                     else:
                         bad.append((a, b, c, s))
-    return passes, total, bad
-
-
-def _suite_clique_free_band(n_max: int) -> tuple[int, int, list[Graph]]:
-    """Below the excess threshold no s-clique can exist."""
-    passes = total = 0
-    bad: list[Graph] = []
-    for n in range(2, n_max + 1):
-        for g in connected_graphs(EnumerationTask(n)):
-            for s in (3, 4, 5):
-                if g.m - g.n <= choose(s, 2) - s - 1:
-                    total += 1
-                    if count_s_cliques(g, s) == 0:
-                        passes += 1
-                    else:
-                        bad.append(g)
     return passes, total, bad
 
 
@@ -456,39 +357,77 @@ def _suite_pendant_move(rng: random.Random, iterations: int) -> tuple[int, int, 
     return passes, total, bad
 
 
-def _suite_star_maximizes_s4(n_max: int) -> tuple[int, int, list[Graph]]:
-    """Within a fixed 2-core, the fourth moment is maximized exactly by
-    piling every pendant onto the top-degree position."""
-    passes = total = 0
-    bad: list[Graph] = []
-    cores: dict[bytes, Graph] = {}
-    for k in range(3, 6):
-        for h in connected_graphs(EnumerationTask(k)):
-            if min(h.degrees()) >= 2:
-                cores[canonical_form(h)] = h
-    for n in range(4, n_max + 1):
-        families: dict[bytes, list[Graph]] = {}
+def _noncut_vertex_holds(g: Graph, core: Graph) -> bool | None:
+    """Every 2-core either is the (r+1)-clique or owns a non-cutvertex
+    of degree at most r - 1; None outside the r >= 3 domain.
+
+    Holds for r >= 3 only: at r = 2 every unicyclic graph whose cycle
+    is longer than a triangle is a counterexample (its 2-core is a
+    cycle, all degrees 2 > r - 1, and it is not K_3), so the suite
+    checks the r >= 3 domain where the statement is sound.
+    """
+    if g.m < g.n:
+        return None
+    r, _ = decompose_connected(g.m, g.n)
+    if r < 3:
+        return None
+    if canonical_form(core) == canonical_form(Graph.complete(r + 1)):
+        return True
+    cuts = core.articulation_points()
+    return any(core.degree(u) <= r - 1 for u in range(core.n) if u not in cuts)
+
+
+def _star_maximizes_s4(h: Graph, family: list[Graph], n: int) -> tuple[bool, list[Graph]]:
+    """Among the order-n graphs with 2-core h, the fourth moment is
+    maximized exactly by piling every pendant onto the top-degree
+    position. Returns whether that holds, and the maximizers."""
+    base = h.degree_sequence()
+    k = h.n
+    fourth = {id(g): spectral_moments(g, 4).s[4] for g in family}
+    best = max(fourth.values())
+    argmax = [g for g in family if fourth[id(g)] == best]
+    target = (base[0] + n - k,) + tuple(base[1:]) + (1,) * (n - k)
+    expected = [g for g in family if g.degree_sequence() == target]
+    same = {canonical_form(g) for g in argmax} == {canonical_form(g) for g in expected}
+    return bool(same and expected), argmax
+
+
+def _tally(row: list, ok: bool | None, bad: list[Graph]) -> None:
+    """Add one check to a [passes, total, bad] row; None is no check."""
+    if ok is None:
+        return
+    row[1] += 1
+    if ok:
+        row[0] += 1
+    else:
+        row[2].extend(bad)
+
+
+def _exhaustive_suites(n_max: int) -> tuple[list, list, list]:
+    """[passes, total, bad] of the noncut-low-degree-vertex,
+    clique-free-band and pendant-star-maximizes-s4 suites, from one
+    enumeration pass per order 2..n_max."""
+    noncut: list = [0, 0, []]
+    band: list = [0, 0, []]
+    star: list = [0, 0, []]
+    cores: dict[bytes, Graph] = {}  # graphs on 3..5 vertices that are their own 2-core
+    for n in range(2, n_max + 1):
+        families: dict[bytes, list[Graph]] = {}  # order-n graphs by 2-core
         for g in connected_graphs(EnumerationTask(n)):
             core = kernel(g, 1)
-            if 0 < core.n <= 5 and core.n < n:
+            _tally(noncut, _noncut_vertex_holds(g, core), [g])
+            for s in (3, 4, 5):  # below the excess threshold no s-clique can exist
+                if g.m - g.n <= choose(s, 2) - s - 1:
+                    _tally(band, count_s_cliques(g, s) == 0, [g])
+            if 3 <= n <= 5 and core.n == n:
+                cores[canonical_form(g)] = g
+            if n <= 7 and 0 < core.n <= 5 and core.n < n:
                 families.setdefault(canonical_form(core), []).append(g)
         for code, h in sorted(cores.items()):
-            family = families.get(code, [])
-            if not family or h.n >= n:
-                continue
-            total += 1
-            base = h.degree_sequence()
-            k = h.n
-            fourth = {id(g): spectral_moments(g, 4).s[4] for g in family}
-            best = max(fourth.values())
-            argmax = [g for g in family if fourth[id(g)] == best]
-            target = (base[0] + n - k,) + tuple(base[1:]) + (1,) * (n - k)
-            expected = [g for g in family if g.degree_sequence() == target]
-            same = {canonical_form(g) for g in argmax} == {canonical_form(g) for g in expected}
-            passes += bool(same and expected)
-            if not (same and expected):
-                bad.extend(argmax)
-    return passes, total, bad
+            family = families.get(code)
+            if family and h.n < n:
+                _tally(star, *_star_maximizes_s4(h, family, n))
+    return noncut, band, star
 
 
 def _suite_kernel_order_independence(rng: random.Random, graphs: int, orders: int) -> tuple[int, int, list[Graph]]:
@@ -527,8 +466,10 @@ def verify_lemma_suite(
     lemmas, under one fixed seed. One grid row per suite; predicted is
     the number of checks run and observed the number that held."""
     start = time.perf_counter()
+    _check_n_max(n_max, 4)
     report = VerificationReport("lemma-suite", seed=seed)
     rng = random.Random(seed)
+    noncut, band, star = _exhaustive_suites(n_max)
 
     def row(lemma: str, passes: int, total: int, bad: list) -> None:
         witnesses = _g6([g for g in bad if isinstance(g, Graph)])
@@ -547,13 +488,13 @@ def verify_lemma_suite(
         )
 
     row("excess-kernel-agreement", *_suite_excess_kernels(rng, min(iterations, 300)))
-    row("noncut-low-degree-vertex", *_suite_noncut_vertex(n_max))
+    row("noncut-low-degree-vertex", *noncut)
     row("binomial-rebalance", *_suite_binomial_rebalance())
-    row("clique-free-band", *_suite_clique_free_band(n_max))
+    row("clique-free-band", *band)
     row("fourth-moment-identity", *_suite_fourth_moment(rng, iterations))
     row("reorder-domination", *_suite_reorder_domination(rng, iterations))
     row("pendant-move-raises-s4", *_suite_pendant_move(rng, min(iterations, 400)))
-    row("pendant-star-maximizes-s4", *_suite_star_maximizes_s4(min(n_max, 7)))
+    row("pendant-star-maximizes-s4", *star)
     row("kernel-order-independence", *_suite_kernel_order_independence(rng, 100, 100))
     row("deletion-identity", *_suite_deletion_identity(rng, iterations))
     report.elapsed_ms = int((time.perf_counter() - start) * 1000)

@@ -1,8 +1,11 @@
+import io
 import json
 import subprocess
 import sys
 
-from cliquex import Graph, from_graph6, to_graph6
+import pytest
+
+from cliquex import EnumerationTask, Graph, connected_graphs, from_graph6, to_graph6
 from cliquex.cli import run
 
 
@@ -49,11 +52,41 @@ def test_count_from_file(capsys, tmp_path):
     assert len(values) == 2
 
 
-def test_count_parse_error(capsys, tmp_path):
+def test_count_parse_error(capsys, tmp_path, monkeypatch):
     path = tmp_path / "bad.g6"
     path.write_text("D?\n")
     code, _, err = invoke(capsys, "count", "--s", "3", "--input", str(path))
     assert code == 2 and "data bytes" in err
+    monkeypatch.setattr(sys, "stdin", io.StringIO("B\u00e9\n"))
+    code, out, err = invoke(capsys, "count", "--s", "3")
+    assert code == 2 and out == "" and "non-ASCII" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("enumerate", "--n", "5", "--workers", "0"), 2),
+        (("verify", "s-order", "--nmax", "5", "--workers", "0"), 2),
+        (("verify", "max-cliques", "--nmax", "5", "--s", "abc"), 2),
+        (("verify", "max-cliques", "--nmax", "5", "--s", ","), 2),
+        (("verify", "max-cliques", "--nmax", "12"), 3),
+        (("verify", "max-cliques", "--nmax", "2"), 3),
+        (("verify", "s-order", "--nmax", "3"), 3),
+        (("verify", "extremal-kernels", "--nmax", "4", "--s", "5"), 3),
+        (("verify", "lemmas", "--nmax", "3"), 3),
+    ],
+)
+def test_bad_arguments_fail_before_enumerating(capsys, monkeypatch, argv, code):
+    import cliquex.enumeration
+    import cliquex.verify
+
+    def refuse(task):
+        raise AssertionError(f"enumerated order {task.n} before rejecting {argv}")
+
+    monkeypatch.setattr(cliquex.enumeration, "connected_graphs", refuse)
+    monkeypatch.setattr(cliquex.verify, "connected_graphs", refuse)
+    got, out, err = invoke(capsys, *argv)
+    assert (got, out) == (code, "") and err
 
 
 def test_edge_list_autodetect(capsys, tmp_path):
@@ -117,9 +150,15 @@ def test_enumerate_sorted_deterministic(capsys):
     assert multi == out
 
 
-def test_enumerate_count_pipeline_consistency(capsys, monkeypatch):
-    import io
+def test_enumerate_workers_split_the_tree(capsys):
+    # (6, 8) grows from several frontier roots, so a second slice is nonempty
+    assert list(connected_graphs(EnumerationTask(6, 8, worker_index=1, worker_count=2)))
+    serial = invoke(capsys, "enumerate", "--n", "6", "--m", "8", "--workers", "1")
+    assert serial[0] == 0 and len(serial[1].split()) == 22
+    assert invoke(capsys, "enumerate", "--n", "6", "--m", "8", "--workers", "2") == serial
 
+
+def test_enumerate_count_pipeline_consistency(capsys, monkeypatch):
     out = invoke(capsys, "enumerate", "--n", "4", "--m", "5")[1]
     monkeypatch.setattr(sys, "stdin", io.StringIO(out))
     code, counted, _ = invoke(capsys, "count", "--s", "3")
@@ -182,8 +221,6 @@ def test_console_entry_point():
 
 
 def test_stdin_stream(capsys, monkeypatch, tmp_path):
-    import io
-
     monkeypatch.setattr(sys, "stdin", io.StringIO("Bw\nBo\n"))
     code, out, _ = invoke(capsys, "count", "--s", "3")
     assert code == 0 and out.split() == ["1", "0"]

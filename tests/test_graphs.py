@@ -5,6 +5,7 @@ import pytest
 
 from cliquex import (
     Graph,
+    Graph6AlphabetError,
     Graph6Error,
     Graph6HeaderError,
     Graph6PaddingError,
@@ -146,6 +147,10 @@ def test_graph6_parse_errors_are_distinct():
         from_graph6("~~??????")  # 8-byte order form is beyond the cap
     with pytest.raises(Graph6Error):
         from_graph6("B\x1f")  # right length, data byte below the alphabet
+    with pytest.raises(Graph6AlphabetError):
+        from_graph6("B!")
+    with pytest.raises(Graph6AlphabetError):
+        from_graph6("B\u00e9")  # non-ASCII, not a replacement-character graph
     with pytest.raises(Graph6TruncatedError):
         from_graph6("D?")
     with pytest.raises(Graph6TrailingError):

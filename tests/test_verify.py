@@ -139,6 +139,54 @@ def test_reports_invariant_under_worker_count():
     a = verify_s_order_last(6, workers=1).to_json(timing=False)
     b = verify_s_order_last(6, workers=3).to_json(timing=False)
     assert a == b
+    a = verify_extremal_kernels(6, {3, 4}, workers=1).to_json(timing=False)
+    b = verify_extremal_kernels(6, {3, 4}, workers=2).to_json(timing=False)
+    assert a == b
+
+
+class _InlinePool:
+    """Stands in for the process pool so that slices run, and are
+    counted, in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_each_harness_enumerates_each_order_once_per_slice(monkeypatch):
+    import cliquex.enumeration as enumeration
+    import cliquex.verify as verify
+
+    original = enumeration.connected_graphs
+    calls = []
+
+    def counted(task):
+        calls.append((task.n, task.m, task.worker_index, task.worker_count))
+        return original(task)
+
+    monkeypatch.setattr(enumeration, "connected_graphs", counted)
+    monkeypatch.setattr(verify, "connected_graphs", counted)
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", _InlinePool)
+    for workers in (1, 2):
+        for run, orders in (
+            (lambda: verify_max_cliques(5, {3, 4}, workers), range(3, 6)),
+            (lambda: verify_extremal_kernels(5, {3, 4}, workers), range(3, 6)),
+            (lambda: verify_s_order_last(5, workers), range(4, 6)),
+        ):
+            calls.clear()
+            assert not run().mismatches
+            assert sorted(calls) == [(n, None, w, workers) for n in orders for w in range(workers)]
+    calls.clear()
+    assert not verify_lemma_suite(seed=0, iterations=20, n_max=5).mismatches
+    assert sorted(calls) == [(n, None, 0, 1) for n in range(2, 6)]
 
 
 def test_report_json_shape():
