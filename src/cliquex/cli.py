@@ -12,7 +12,7 @@ Exit codes: 0 success, 1 a verification harness found a mismatch,
 from __future__ import annotations
 
 import argparse
-import os
+import string
 import sys
 from itertools import chain
 from pathlib import Path
@@ -47,21 +47,14 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 
 
-def _default_workers() -> int:
+def _positive_int(text: str) -> int:
     try:
-        return max(1, int(os.environ.get("CLIQUEX_WORKERS", "1")))
+        value = int(text)
     except ValueError:
-        return 1
-
-
-def _worker_count(text: str) -> int:
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"need a positive worker count, got {text!r}")
-    return workers
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
+    return value
 
 
 def _parse_clique_orders(text: str) -> set[int]:
@@ -130,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="one graph6 line per isomorphism class")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--workers", type=_worker_count, default=_default_workers())
+    p.add_argument("--workers", type=_positive_int, default=1)
 
     p = sub.add_parser("verify", help="run a theorem harness and emit a JSON report")
     p.add_argument(
@@ -139,9 +132,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--s", type=_parse_clique_orders, default="3", help="comma-separated clique orders")
-    p.add_argument("--workers", type=_worker_count, default=_default_workers())
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iterations", type=int, default=1000)
+    p.add_argument("--iterations", type=_positive_int, default=1000)
     p.add_argument("--out", default=None, help="report path (default stdout)")
     return parser
 
@@ -174,8 +167,8 @@ def _read_graphs(args: argparse.Namespace) -> list[Graph]:
     if fmt == "edgelist":
         return [from_edge_list(text)]
     graphs = []
-    for raw in text.splitlines():
-        line = raw.strip()
+    for raw in text.split("\n"):
+        line = raw.strip(string.whitespace)
         if line:
             graphs.append(from_graph6(line))
     if not graphs:
@@ -301,7 +294,7 @@ def run(argv: list[str]) -> int:
     except (Graph6Error, OSError) as exc:
         print(f"cliquex: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         print(f"cliquex: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

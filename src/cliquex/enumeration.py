@@ -8,8 +8,8 @@ the child's *canonical* parent: the non-cutvertex deletion minimizing
 has exactly one production path, so disjoint subtrees emit disjoint
 classes and workers can split the tree with no shared state.
 
-An independent labeled-enumeration fallback (all edge subsets, orbit
-dedup) covers n <= 7 as the correctness oracle for the engine itself.
+The engine's own oracle, labeled enumeration with orbit dedup, lives
+in the test suite (``tests/labeled_oracle.py``).
 """
 
 from __future__ import annotations
@@ -17,15 +17,11 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, permutations
 from typing import Any, Callable, Hashable, Iterable, Iterator
-
-import numpy as np
 
 from .graphs import CanonicalForm, Graph, canonical_form, canonical_graph
 
 MAX_EXHAUSTIVE_ORDER = 9
-MAX_LABELED_ORDER = 7
 
 _FRONTIER_CAP = 6  # serial prefix depth; deeper levels are split across workers
 
@@ -37,7 +33,6 @@ class EnumerationTask:
 
     n: int
     m: int | None = None
-    connected_only: bool = True
     worker_index: int = 0
     worker_count: int = 1
 
@@ -119,9 +114,6 @@ def _levels_until(n: int, m: int | None, depth: int) -> list[Graph]:
 def connected_graphs(task: EnumerationTask) -> Iterator[Graph]:
     """Exactly one canonical representative per isomorphism class of
     connected graphs with the requested order (and size, if given)."""
-    if not task.connected_only:
-        raise NotImplementedError("only connected classes are generated; "
-                                  "see labeled_classes for the fallback")
     n, m = task.n, task.m
     if n == 1:
         if task.worker_index == 0 and m in (None, 0):
@@ -198,49 +190,3 @@ def class_fold(task: EnumerationTask, measure: Callable[[Graph], int]) -> tuple[
     value, witnesses = best[None]
     witnesses.sort(key=canonical_form)
     return value, witnesses
-
-
-# ── labeled-enumeration fallback (correctness oracle) ─────────────
-
-
-def _slot_powers(n: int) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Edge slots in column-major order plus, per vertex permutation,
-    the power-of-two each slot's bit contributes after relabeling."""
-    slots = [(u, v) for v in range(1, n) for u in range(v)]
-    index = {e: i for i, e in enumerate(slots)}
-    perms = list(permutations(range(n)))
-    table = np.zeros((len(perms), len(slots)), dtype=np.int64)
-    for k, p in enumerate(perms):
-        for s, (u, v) in enumerate(slots):
-            a, b = p[u], p[v]
-            table[k, s] = index[(min(a, b), max(a, b))]
-    return slots, np.int64(1) << table
-
-
-def labeled_classes(n: int, m: int, connected_only: bool = True) -> frozenset[CanonicalForm]:
-    """Canonical forms of all (n, m) classes found by enumerating every
-    labeled graph and deduplicating whole relabeling orbits.
-
-    Entirely independent of the augmentation engine: its only shared
-    ingredient is the canonical form used to name classes.
-    """
-    if not 1 <= n <= MAX_LABELED_ORDER:
-        raise ValueError(f"labeled fallback supports 1 <= n <= {MAX_LABELED_ORDER}")
-    nslots = n * (n - 1) // 2
-    if not 0 <= m <= nslots:
-        raise ValueError(f"no graph has n={n}, m={m}")
-    slots, powers = _slot_powers(n)
-    seen: set[int] = set()
-    found: set[CanonicalForm] = set()
-    for combo in combinations(range(nslots), m):
-        code = 0
-        for s in combo:
-            code |= 1 << s
-        if code in seen:
-            continue
-        g = Graph.from_edges(n, [slots[s] for s in combo])
-        if not connected_only or g.is_connected():
-            found.add(canonical_form(g))
-        orbit = powers[:, list(combo)].sum(axis=1) if combo else np.zeros(1, dtype=np.int64)
-        seen.update(orbit.tolist())
-    return frozenset(found)

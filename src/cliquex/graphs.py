@@ -13,6 +13,7 @@ result is still a graph.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -385,8 +386,11 @@ def to_graph6(g: Graph) -> str:
 
 
 def from_graph6(text: str) -> Graph:
-    """Parse one graph6 record; the optional ``>>graph6<<`` prefix is allowed."""
-    s = text.strip()
+    """Parse one graph6 record; the optional ``>>graph6<<`` prefix is allowed.
+
+    Only ASCII whitespace around the record is ignored; any other
+    control character is an error."""
+    s = text.strip(string.whitespace)
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
     if not s:
@@ -417,32 +421,25 @@ def from_graph6(text: str) -> Graph:
         raise Graph6TruncatedError(f"need {need} data bytes, found {len(body)}")
     if len(body) > need:
         raise Graph6TrailingError(f"{len(body) - need} trailing bytes after bit field")
-    rows = [0] * n
-    bit = 0
+    field = 0
     for byte in body:
         group = byte - 63
         if not 0 <= group < 64:
             raise Graph6AlphabetError(f"data byte {byte} outside graph6 alphabet")
-        for k in range(5, -1, -1):
-            if bit >= nbits:
-                if (group >> k) & 1:
-                    raise Graph6PaddingError("nonzero padding bits")
-                continue
-            if (group >> k) & 1:
-                u, v = _bit_to_edge(bit)
+        field = (field << 6) | group
+    pad = 6 * need - nbits
+    if field & ((1 << pad) - 1):
+        raise Graph6PaddingError("nonzero padding bits")
+    # the bits run most significant first, in the column-major order to_graph6 writes
+    rows = [0] * n
+    bit = nbits + pad
+    for v in range(1, n):
+        for u in range(v):
+            bit -= 1
+            if (field >> bit) & 1:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-            bit += 1
     return Graph(n, tuple(rows))
-
-
-def _bit_to_edge(index: int) -> tuple[int, int]:
-    """Inverse of the column-major upper-triangle bit order."""
-    v = 1
-    while v * (v + 1) // 2 <= index:
-        v += 1
-    u = index - v * (v - 1) // 2
-    return u, v
 
 
 def from_edge_list(text: str) -> Graph:

@@ -16,7 +16,6 @@ from cliquex import (
     decompose_connected,
     deletion_identity_check,
     kernel_vertices,
-    labeled_classes,
     peel_random_order,
     s4_via_subgraphs,
     spectral_moments,
@@ -27,6 +26,7 @@ from cliquex import (
 from cliquex.enumeration import EnumerationTask, connected_graphs
 from cliquex.graphs import canonical_form
 from conftest import random_graph
+from labeled_oracle import labeled_classes
 
 EXTENDED = os.environ.get("CLIQUEX_EXTENDED") == "1"
 

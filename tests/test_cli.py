@@ -60,6 +60,9 @@ def test_count_parse_error(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("B\u00e9\n"))
     code, out, err = invoke(capsys, "count", "--s", "3")
     assert code == 2 and out == "" and "non-ASCII" in err
+    monkeypatch.setattr(sys, "stdin", io.StringIO("Bw\x1e\n"))
+    code, out, err = invoke(capsys, "count", "--s", "3")
+    assert code == 2 and out == "" and err
 
 
 @pytest.mark.parametrize(
@@ -74,6 +77,7 @@ def test_count_parse_error(capsys, tmp_path, monkeypatch):
         (("verify", "s-order", "--nmax", "3"), 3),
         (("verify", "extremal-kernels", "--nmax", "4", "--s", "5"), 3),
         (("verify", "lemmas", "--nmax", "3"), 3),
+        (("verify", "lemmas", "--nmax", "5", "--iterations", "0"), 2),
     ],
 )
 def test_bad_arguments_fail_before_enumerating(capsys, monkeypatch, argv, code):
@@ -115,6 +119,12 @@ def test_construct_and_moments_pipeline(capsys, tmp_path):
     assert code == 0
     values = [int(tok) for tok in out.split()]
     assert values[:3] == [7, 0, 20]
+
+    # S_19 of K_20 is past 2^63; the walk counts are still exact
+    path.write_text(to_graph6(Graph.complete(20)) + "\n")
+    code, out, _ = invoke(capsys, "moments", "--input", str(path))
+    assert code == 0
+    assert [int(tok) for tok in out.split()] == [19**j + 19 * (-1) ** j for j in range(20)]
 
 
 def test_construct_bridge_flags(capsys):
@@ -202,15 +212,6 @@ def test_verify_lemmas_to_stdout(capsys):
     assert payload["theorem_id"] == "lemma-suite"
 
 
-def test_workers_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("CLIQUEX_WORKERS", "2")
-    code, out, _ = invoke(capsys, "enumerate", "--n", "4", "--m", "4")
-    assert code == 0 and len(out.split()) == 2
-    monkeypatch.setenv("CLIQUEX_WORKERS", "not-a-number")
-    code, out, _ = invoke(capsys, "enumerate", "--n", "4", "--m", "4")
-    assert code == 0 and len(out.split()) == 2
-
-
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "cliquex.cli", "bound", "--m", "10", "--n", "7", "--s", "3"],
@@ -218,6 +219,15 @@ def test_console_entry_point():
         text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "5"
+
+
+def test_cli_import_leaves_numpy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cliquex.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
 def test_stdin_stream(capsys, monkeypatch, tmp_path):

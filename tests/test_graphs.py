@@ -145,8 +145,10 @@ def test_graph6_parse_errors_are_distinct():
         from_graph6("")
     with pytest.raises(Graph6HeaderError):
         from_graph6("~~??????")  # 8-byte order form is beyond the cap
-    with pytest.raises(Graph6Error):
+    with pytest.raises(Graph6AlphabetError):
         from_graph6("B\x1f")  # right length, data byte below the alphabet
+    with pytest.raises(Graph6Error):
+        from_graph6("Bw\x1f")  # control bytes are data, not whitespace
     with pytest.raises(Graph6AlphabetError):
         from_graph6("B!")
     with pytest.raises(Graph6AlphabetError):

@@ -65,13 +65,13 @@ def test_moments_match_walk_enumeration(rng):
             assert mv.s[j] == closed_walk_count(g, j)
 
 
-def test_moment_overflow_guard():
-    with pytest.raises(OverflowError):
-        spectral_moments(Graph.complete(17), 16)
+def test_moments_exact_past_int64():
+    # K_20 has eigenvalues 19 (once) and -1 (19 times); S_19 exceeds 2^63
+    s = spectral_moments(Graph.complete(20), 19).s
+    assert s == tuple(19**j + 19 * (-1) ** j for j in range(20))
+    assert s[19] > 2**63
     with pytest.raises(ValueError):
         spectral_moments(Graph.complete(3), 64)
-    # the guard passes comfortably at desk scale
-    spectral_moments(Graph.complete(10), 9)
 
 
 # ── fourth-moment identity ────────────────────────────────────────

@@ -107,6 +107,14 @@ def test_lemma_suite_all_pass():
         assert cell["predicted"] > 0
 
 
+def test_lemma_row_that_checked_nothing_is_a_mismatch():
+    report = verify_lemma_suite(seed=0, iterations=0, n_max=4)
+    empty = [cell for cell in report.grid if cell["predicted"] == 0]
+    assert {cell["lemma"] for cell in empty} >= {"fourth-moment-identity", "deletion-identity"}
+    assert all(cell["status"] == "mismatch" for cell in empty)
+    assert all(cell["status"] == "match" for cell in report.grid if cell["predicted"] > 0)
+
+
 def test_low_excess_band_has_real_exception():
     # the non-cutvertex lemma genuinely fails at r = 2: a plain 4-cycle
     # has 2-core C_4, every degree is 2 > r - 1 = 1, and C_4 is not K_3;
