@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 a verification harness found a mismatch,
 from __future__ import annotations
 
 import argparse
-import string
 import sys
 from itertools import chain
 from pathlib import Path
@@ -31,7 +30,7 @@ from .extremal import (
     kernel,
     max_cliques_bound,
 )
-from .graphs import Graph, Graph6Error, from_edge_list, from_graph6, to_graph6
+from .graphs import EDGE_LINE, Graph, Graph6Error, from_edge_list, from_graph6, text_lines, to_graph6
 from .spectral import s_order_compare, spectral_moments
 from .verify import (
     VerificationReport,
@@ -55,6 +54,13 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
     return value
+
+
+def _report_path(text: str) -> Path:
+    path = Path(text)
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"no directory {str(path.parent)!r} for the report")
+    return path
 
 
 def _parse_clique_orders(text: str) -> set[int]:
@@ -135,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iterations", type=_positive_int, default=1000)
-    p.add_argument("--out", default=None, help="report path (default stdout)")
+    p.add_argument("--out", type=_report_path, default=None, help="report path (default stdout)")
     return parser
 
 
@@ -146,18 +152,12 @@ def _read_text(source: str) -> str:
 
 
 def _sniff_format(text: str) -> str:
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) == 2:
-            try:
-                int(parts[0]), int(parts[1])
-                return "edgelist"
-            except ValueError:
-                return "graph6"
-        return "graph6"
+    for line in text_lines(text):
+        match = EDGE_LINE.fullmatch(line)
+        if match is None:
+            return "graph6"
+        if match[1] is not None:
+            return "edgelist"
     raise ValueError("no graph data found in input")
 
 
@@ -166,11 +166,7 @@ def _read_graphs(args: argparse.Namespace) -> list[Graph]:
     fmt = args.format if args.format != "auto" else _sniff_format(text)
     if fmt == "edgelist":
         return [from_edge_list(text)]
-    graphs = []
-    for raw in text.split("\n"):
-        line = raw.strip(string.whitespace)
-        if line:
-            graphs.append(from_graph6(line))
+    graphs = [from_graph6(line) for line in text_lines(text) if line]
     if not graphs:
         raise ValueError("no graph6 records found in input")
     return graphs
@@ -180,10 +176,10 @@ def _graph6_lines(task: EnumerationTask) -> list[str]:
     return [to_graph6(g) for g in connected_graphs(task)]
 
 
-def _emit_report(report: VerificationReport, out: str | None) -> int:
+def _emit_report(report: VerificationReport, out: Path | None) -> int:
     payload = report.to_json()
     if out:
-        Path(out).write_text(payload + "\n")
+        out.write_text(payload + "\n")
     else:
         print(payload)
     return EXIT_MISMATCH if report.mismatches else EXIT_OK

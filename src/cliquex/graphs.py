@@ -9,10 +9,18 @@ to share across concurrent workers.
 The empty graph (n = 0) is a legal value; kernel peeling can empty a
 graph out completely and the algebra downstream is simpler if that
 result is still a graph.
+
+An isomorphism class is named by the graph6 record of its canonical
+labeling (``canonical_form``), and ``canonical_graph`` decodes that
+record, so one canonical search serves both. One packer writes every
+graph6 record. Text input is read one "\\n"-separated line at a time,
+with only ASCII whitespace stripped, so no other control character
+ever separates or ends a record.
 """
 
 from __future__ import annotations
 
+import re
 import string
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,8 +31,10 @@ MAX_VERTICES = 64
 # Canonicalization is exact permutation search (pruned); keep it honest.
 MAX_CANONICAL_VERTICES = 12
 
-#: Relabeling-invariant encoding; equal codes <=> isomorphic graphs.
-CanonicalForm = bytes
+#: Relabeling-invariant encoding, equal exactly for isomorphic graphs: the
+#: graph6 record of the canonical labeling. Codes of one order sort by
+#: their bit fields; codes of different orders sort by order.
+CanonicalForm = str
 
 
 class Graph6Error(ValueError):
@@ -265,29 +275,33 @@ def _twin_skip(g: Graph, candidates: list[int]) -> list[int]:
     return kept
 
 
-def _canonical_search(g: Graph) -> tuple[list[int], list[int]]:
-    """Minimal column chunks and one ordering achieving them.
+@lru_cache(maxsize=1 << 16)
+def canonical_form(g: Graph) -> CanonicalForm:
+    """Relabeling-invariant code: the graph6 record of the canonical
+    labeling, whose upper-triangle bit field is the lexicographically
+    minimal one over degree-respecting orderings.
 
     Positions are pre-assigned degrees (nonincreasing), so only
     permutations listing vertices in sorted-degree order compete; at
     each depth only candidates realizing the minimal adjacency column
-    branch. Twins collapse to a single branch.
+    branch. Twins collapse to a single branch. Exact for n <= 12;
+    highly symmetric graphs near that cap can be slow.
     """
     n = g.n
+    if n > MAX_CANONICAL_VERTICES:
+        raise ValueError(f"canonical form limited to n <= {MAX_CANONICAL_VERTICES}")
     seq = g.degree_sequence()
     deg = g.degrees()
-    best_chunks: list[int] | None = None
-    best_order: list[int] | None = None
+    best: list[int] | None = None
     placed: list[int] = []
-    chunks: list[int] = []
+    chunks: list[int] = []  # chunk d: the column of position d, position 0 first
 
     def dfs() -> None:
-        nonlocal best_chunks, best_order
+        nonlocal best
         d = len(placed)
         if d == n:
-            if best_chunks is None or chunks < best_chunks:
-                best_chunks = chunks.copy()
-                best_order = placed.copy()
+            if best is None or chunks < best:
+                best = chunks.copy()
             return
         used = set(placed)
         cands = [u for u in range(n) if u not in used and deg[u] == seq[d]]
@@ -298,9 +312,9 @@ def _canonical_search(g: Graph) -> tuple[list[int], list[int]]:
                 col = (col << 1) | ((g.adj[u] >> p) & 1)
             cols[u] = col
         low = min(cols.values())
-        if best_chunks is not None:
+        if best is not None:
             prefix = chunks + [low]
-            if prefix > best_chunks[: d + 1]:
+            if prefix > best[: d + 1]:
                 return
         branch = _twin_skip(g, [u for u in cands if cols[u] == low])
         chunks.append(low)
@@ -311,44 +325,16 @@ def _canonical_search(g: Graph) -> tuple[list[int], list[int]]:
         chunks.pop()
 
     dfs()
-    assert best_chunks is not None and best_order is not None
-    return best_chunks, best_order
-
-
-def _pack_code(n: int, chunks: list[int]) -> bytes:
-    nbits = n * (n - 1) // 2
-    acc = 0
-    for d, c in enumerate(chunks):
-        acc = (acc << d) | c
-    return bytes([n]) + acc.to_bytes((nbits + 7) // 8, "big")
-
-
-@lru_cache(maxsize=1 << 16)
-def canonical_form(g: Graph) -> CanonicalForm:
-    """Relabeling-invariant code: order byte, then the lexicographically
-    minimal upper-triangle bit field over degree-respecting orderings.
-
-    Exact for n <= 12; highly symmetric graphs near that cap can be slow.
-    """
-    if g.n > MAX_CANONICAL_VERTICES:
-        raise ValueError(f"canonical form limited to n <= {MAX_CANONICAL_VERTICES}")
-    if g.n <= 1:
-        return bytes([g.n])
-    chunks, _ = _canonical_search(g)
-    return _pack_code(g.n, chunks)
+    assert best is not None
+    field = 0
+    for d, chunk in enumerate(best):
+        field = (field << d) | chunk
+    return _graph6(n, field)
 
 
 def canonical_graph(g: Graph) -> Graph:
-    """The canonically relabeled copy of ``g`` (same code as ``g``)."""
-    if g.n > MAX_CANONICAL_VERTICES:
-        raise ValueError(f"canonical form limited to n <= {MAX_CANONICAL_VERTICES}")
-    if g.n <= 1:
-        return g
-    _, order = _canonical_search(g)
-    perm = [0] * g.n
-    for pos, u in enumerate(order):
-        perm[u] = pos
-    return g.relabel(perm)
+    """The canonically relabeled copy of ``g``: the graph its code encodes."""
+    return from_graph6(canonical_form(g))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -364,25 +350,27 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 _G6_HEADER = ">>graph6<<"
 
 
+def _graph6(n: int, field: int) -> str:
+    """The graph6 record of order n whose upper-triangle bit field,
+    column by column (v = 1..n-1, u = 0..v-1), is ``field``, most
+    significant bit first."""
+    if n <= 62:
+        header = chr(63 + n)
+    else:
+        header = "~" + chr(63 + (n >> 12)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    field <<= 6 * need - nbits
+    return header + "".join(chr(63 + ((field >> 6 * k) & 63)) for k in reversed(range(need)))
+
+
 def to_graph6(g: Graph) -> str:
     """Byte-exact graph6 record for the labeling at hand (not canonicalized)."""
-    n = g.n
-    if n <= 62:
-        out = [chr(63 + n)]
-    else:
-        out = ["~", chr(63 + (n >> 12)), chr(63 + ((n >> 6) & 63)), chr(63 + (n & 63))]
-    group = 0
-    nbits = 0
-    for v in range(1, n):
+    field = 0
+    for v in range(1, g.n):
         for u in range(v):
-            group = (group << 1) | ((g.adj[u] >> v) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + group))
-                group = nbits = 0
-    if nbits:
-        out.append(chr(63 + (group << (6 - nbits))))
-    return "".join(out)
+            field = (field << 1) | ((g.adj[u] >> v) & 1)
+    return _graph6(g.n, field)
 
 
 def from_graph6(text: str) -> Graph:
@@ -442,23 +430,27 @@ def from_graph6(text: str) -> Graph:
     return Graph(n, tuple(rows))
 
 
+def text_lines(text: str) -> list[str]:
+    """The lines of ``text``, split on "\\n" only and stripped of ASCII
+    whitespace only (so CRLF input reads as LF input)."""
+    return [raw.strip(string.whitespace) for raw in text.split("\n")]
+
+
+#: One stripped edge-list line: "u v" in ASCII digits, a '#' comment, both, or neither.
+EDGE_LINE = re.compile(r"(?:(\d+)\s+(\d+))?\s*(?:#.*)?", re.ASCII)
+
+
 def from_edge_list(text: str) -> Graph:
     """Read a plain 0-indexed "u v" edge list; '#' starts a comment."""
     edges = []
     top = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, line in enumerate(text_lines(text), start=1):
+        match = EDGE_LINE.fullmatch(line)
+        if match is None:
+            raise ValueError(f"line {lineno}: expected 'u v' in ASCII digits, got {line!r}")
+        if match[1] is None:
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: non-integer endpoint in {raw!r}") from exc
-        if u < 0 or v < 0:
-            raise ValueError(f"line {lineno}: negative vertex in {raw!r}")
+        u, v = int(match[1]), int(match[2])
         if u == v:
             raise ValueError(f"line {lineno}: self-loop at {u}")
         edges.append((u, v))

@@ -29,7 +29,7 @@ from .extremal import (
     max_cliques_bound,
     peel_random_order,
 )
-from .graphs import Graph, canonical_form, to_graph6
+from .graphs import CanonicalForm, Graph, canonical_form, to_graph6
 from .spectral import (
     d_transformation,
     moment_sequence,
@@ -140,7 +140,6 @@ def verify_max_cliques(
                         "ties": [],
                     }
                 )
-    report.grid.sort(key=lambda c: (c["n"], c["m"], c["s"]))
     report.elapsed_ms = int((time.perf_counter() - start) * 1000)
     return report
 
@@ -148,7 +147,7 @@ def verify_max_cliques(
 # ── Theorem harness: kernels of extremal graphs ───────────────────
 
 
-def _allowed_kernel_codes(n: int, r: int, t: int, s: int) -> set[bytes]:
+def _allowed_kernel_codes(n: int, r: int, t: int, s: int) -> set[CanonicalForm]:
     """Canonical forms the (s-2)-kernel of an extremal graph may take."""
     if t <= s - 2:
         return {canonical_form(Graph.complete(r))}
@@ -199,7 +198,6 @@ def verify_extremal_kernels(
                         "ties": [],
                     }
                 )
-    report.grid.sort(key=lambda c: (c["n"], c["m"], c["s"]))
     report.elapsed_ms = int((time.perf_counter() - start) * 1000)
     return report
 
@@ -243,7 +241,6 @@ def verify_s_order_last(n_max: int, workers: int = 1, seed: int = 0) -> Verifica
                     "first_differing_index": rel.first_differing_index,
                 }
             report.grid.append(cell)
-    report.grid.sort(key=lambda c: (c["n"], c["m"], c["s"]))
     report.elapsed_ms = int((time.perf_counter() - start) * 1000)
     return report
 
@@ -410,9 +407,9 @@ def _exhaustive_suites(n_max: int) -> tuple[list, list, list]:
     noncut: list = [0, 0, []]
     band: list = [0, 0, []]
     star: list = [0, 0, []]
-    cores: dict[bytes, Graph] = {}  # graphs on 3..5 vertices that are their own 2-core
+    cores: dict[CanonicalForm, Graph] = {}  # graphs on 3..5 vertices that are their own 2-core
     for n in range(2, n_max + 1):
-        families: dict[bytes, list[Graph]] = {}  # order-n graphs by 2-core
+        families: dict[CanonicalForm, list[Graph]] = {}  # order-n graphs by 2-core
         for g in connected_graphs(EnumerationTask(n)):
             core = kernel(g, 1)
             _tally(noncut, _noncut_vertex_holds(g, core), [g])

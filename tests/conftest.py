@@ -5,6 +5,18 @@ import pytest
 from cliquex import Graph
 
 
+# Edge lists that must not parse: records split on "\n" only (RS, FS, VT and
+# NEL separate nothing), and endpoints are ASCII digits between ASCII whitespace.
+MALFORMED_EDGE_LISTS = [
+    *(sep.join(["0 1", "1 2", "0 2"]) + "\n" for sep in ("\x1e", "\x1c", "\x0b", "\x85")),
+    "0\x1f1\n",
+    "\u0660 \u0661\n",  # Arabic-Indic digits
+    "0 1_0\n",
+    "+0 +1\n",
+    "-1 2\n",
+]
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.45) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)

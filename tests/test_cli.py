@@ -7,6 +7,7 @@ import pytest
 
 from cliquex import EnumerationTask, Graph, connected_graphs, from_graph6, to_graph6
 from cliquex.cli import run
+from conftest import MALFORMED_EDGE_LISTS
 
 
 def invoke(capsys, *argv):
@@ -63,6 +64,11 @@ def test_count_parse_error(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("Bw\x1e\n"))
     code, out, err = invoke(capsys, "count", "--s", "3")
     assert code == 2 and out == "" and err
+    for text in MALFORMED_EDGE_LISTS:
+        for fmt in ("auto", "edgelist"):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            code, out, err = invoke(capsys, "count", "--s", "3", "--format", fmt)
+            assert (code, out) == (2, "") and err, (text, fmt)
 
 
 @pytest.mark.parametrize(
@@ -78,6 +84,7 @@ def test_count_parse_error(capsys, tmp_path, monkeypatch):
         (("verify", "extremal-kernels", "--nmax", "4", "--s", "5"), 3),
         (("verify", "lemmas", "--nmax", "3"), 3),
         (("verify", "lemmas", "--nmax", "5", "--iterations", "0"), 2),
+        (("verify", "s-order", "--nmax", "5", "--out", "no-such-dir/report.json"), 2),
     ],
 )
 def test_bad_arguments_fail_before_enumerating(capsys, monkeypatch, argv, code):
@@ -96,6 +103,9 @@ def test_bad_arguments_fail_before_enumerating(capsys, monkeypatch, argv, code):
 def test_edge_list_autodetect(capsys, tmp_path):
     path = tmp_path / "tri.txt"
     path.write_text("# triangle\n0 1\n1 2\n0 2\n")
+    code, out, _ = invoke(capsys, "count", "--s", "3", "--input", str(path))
+    assert code == 0 and out.strip() == "1"
+    path.write_bytes(b"# triangle\r\n0 1\r\n1 2\r\n0 2\r\n")
     code, out, _ = invoke(capsys, "count", "--s", "3", "--input", str(path))
     assert code == 0 and out.strip() == "1"
 

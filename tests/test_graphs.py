@@ -2,6 +2,8 @@ import itertools
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquex import (
     Graph,
@@ -20,13 +22,17 @@ from cliquex import (
     is_isomorphic,
     to_graph6,
 )
-from conftest import random_connected_graph, random_graph
+from conftest import MALFORMED_EDGE_LISTS, random_connected_graph, random_graph
 
 PETERSEN_EDGES = [
     (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
     (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
     (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
 ]
+
+
+def _nx(g):
+    return nx.from_graph6_bytes(to_graph6(g).encode())
 
 
 # ── value semantics ───────────────────────────────────────────────
@@ -210,6 +216,11 @@ def test_edge_list_reader():
         from_edge_list("#nothing\n")
     with pytest.raises(ValueError):
         from_edge_list("3 3\n")
+    crlf = from_edge_list("# triangle\r\n0 1\r\n1 2\r\n0 2\r\n")
+    assert crlf == Graph.complete(3)
+    for bad in MALFORMED_EDGE_LISTS:
+        with pytest.raises(ValueError, match="ASCII digits"):
+            from_edge_list(bad)
 
 
 # ── canonical form ────────────────────────────────────────────────
@@ -247,6 +258,37 @@ def test_canonical_graph_is_fixed_point(rng):
         cg = canonical_graph(g)
         assert canonical_form(cg) == canonical_form(g)
         assert canonical_graph(cg) == cg
+        assert nx.is_isomorphic(_nx(g), _nx(cg))
+
+
+def test_one_canonical_search_per_class():
+    g = construct_bridge(4, 3, 1)
+    canonical_form.cache_clear()
+    canonical_form(g)
+    canonical_graph(g)
+    info = canonical_form.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+@st.composite
+def graphs_and_relabelings(draw):
+    n = draw(st.integers(0, 9))
+    field = draw(st.integers(0, (1 << n * (n - 1) // 2) - 1))
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if field >> i & 1])
+    return g, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_and_relabelings())
+def test_code_contract(case):
+    g, perm = case
+    assert from_graph6(to_graph6(g)) == g
+    code = canonical_form(g)
+    cg = canonical_graph(g)
+    assert code == to_graph6(cg)
+    assert canonical_form(g.relabel(perm)) == code
+    assert nx.is_isomorphic(_nx(g), _nx(cg))
 
 
 def test_isomorphism_agrees_with_networkx(rng):
