@@ -12,6 +12,8 @@ Exit codes: 0 success, 1 a verification harness found a mismatch,
 from __future__ import annotations
 
 import argparse
+import re
+import string
 import sys
 from itertools import chain
 from pathlib import Path
@@ -46,11 +48,18 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """An integer option: ASCII digits with an optional leading '-', nothing else."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"need an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
     return value
@@ -64,10 +73,8 @@ def _report_path(text: str) -> Path:
 
 
 def _parse_clique_orders(text: str) -> set[int]:
-    try:
-        orders = {int(tok) for tok in text.split(",") if tok.strip()}
-    except ValueError:
-        orders = set()
+    tokens = (tok.strip(string.whitespace) for tok in text.split(","))
+    orders = {_integer(tok) for tok in tokens if tok}
     if not orders:
         raise argparse.ArgumentTypeError(f"need comma-separated clique orders, got {text!r}")
     return orders
@@ -91,24 +98,24 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("bound", help="sharp maximum of k_s (connected if --n given)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--m", type=_integer, required=True)
+    p.add_argument("--n", type=_integer)
+    p.add_argument("--s", type=_integer, required=True)
 
     p = sub.add_parser("decompose", help="size/order decomposition (r, t)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int)
+    p.add_argument("--m", type=_integer, required=True)
+    p.add_argument("--n", type=_integer)
 
     p = sub.add_parser("count", help="k_s for each input graph")
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--s", type=_integer, required=True)
     add_io(p)
 
     p = sub.add_parser("kernel", help="iterated low-degree peeling of each input graph")
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--s", type=_integer, required=True)
     add_io(p)
 
     p = sub.add_parser("moments", help="closed-walk counts S_0..S_jmax per graph")
-    p.add_argument("--jmax", type=int, default=None, help="default: order - 1")
+    p.add_argument("--jmax", type=_integer, default=None, help="default: order - 1")
     add_io(p)
 
     p = sub.add_parser("compare", help="moment-order comparison of exactly two graphs")
@@ -118,17 +125,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--family", choices=("star", "krt", "bridge", "b1", "b2"), required=True
     )
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--len", type=int, default=0, dest="length")
+    p.add_argument("--m", type=_integer)
+    p.add_argument("--n", type=_integer)
+    p.add_argument("--r", type=_integer)
+    p.add_argument("--t", type=_integer)
+    p.add_argument("--p", type=_integer)
+    p.add_argument("--q", type=_integer)
+    p.add_argument("--len", type=_integer, default=0, dest="length")
 
     p = sub.add_parser("enumerate", help="one graph6 line per isomorphism class")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--m", type=_integer, default=None)
     p.add_argument("--workers", type=_positive_int, default=1)
 
     p = sub.add_parser("verify", help="run a theorem harness and emit a JSON report")
@@ -136,10 +143,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "target",
         choices=("max-cliques", "extremal-kernels", "s-order", "lemmas"),
     )
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", type=_integer, required=True)
     p.add_argument("--s", type=_parse_clique_orders, default="3", help="comma-separated clique orders")
     p.add_argument("--workers", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--iterations", type=_positive_int, default=1000)
     p.add_argument("--out", type=_report_path, default=None, help="report path (default stdout)")
     return parser

@@ -6,10 +6,19 @@ attaching a new vertex is kept only when the parent it came from is
 the child's *canonical* parent: the non-cutvertex deletion minimizing
 (degree sequence, canonical form). Each isomorphism class therefore
 has exactly one production path, so disjoint subtrees emit disjoint
-classes and workers can split the tree with no shared state.
+classes and workers can split the tree with no shared state (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
 
-The engine's own oracle, labeled enumeration with orbit dedup, lives
-in the test suite (``tests/labeled_oracle.py``).
+The parent test works on the child's adjacency rows, built from the
+parent's rows and a neighbour mask. Most children lose on degree
+sequence alone, so the cut test (one bitmask reachability pass) runs
+only for a deletion whose sequence is no larger than the parent's,
+and a canonical search only for a non-cut deletion that ties it.
+Children and tied deletions of a valid parent are valid by
+construction and skip ``Graph`` validation.
+
+The engine's oracles (labeled enumeration, Pólya counting and the
+parent test written out rule by rule) live in the test suite.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Hashable, Iterable, Iterator
 
-from .graphs import CanonicalForm, Graph, canonical_form, canonical_graph
+from .graphs import CanonicalForm, Graph, _bits, canonical_form, canonical_graph
 
 MAX_EXHAUSTIVE_ORDER = 9
 
@@ -45,36 +54,58 @@ class EnumerationTask:
             raise ValueError("worker index outside 0..worker_count-1")
 
 
-def _deleted_degree_sequence(g: Graph, u: int) -> tuple[int, ...]:
-    deg = g.degrees()
-    return tuple(
-        sorted(
-            (deg[w] - ((g.adj[u] >> w) & 1) for w in range(g.n) if w != u),
-            reverse=True,
-        )
-    )
-
-
-def _is_canonical_child(child: Graph, parent_code: CanonicalForm) -> bool:
-    """Parent test: did the child come from its canonical parent?
+def _is_canonical_child(rows: tuple[int, ...], parent_seq: list[int],
+                        parent_code: CanonicalForm) -> bool:
+    """Parent test: did the child with adjacency ``rows`` come from its
+    canonical parent (the last vertex deleted, of degree sequence
+    ``parent_seq`` and code ``parent_code``)?
 
     The canonical parent is the deletion of the non-cutvertex u
     minimizing (degree sequence of child - u, canonical form of
-    child - u); the new vertex (last index) is always deletable.
+    child - u); the new vertex is never a cut vertex. Sequences are
+    compared first, so the cut test runs only on a vertex whose
+    deletion could beat the parent, and a canonical search only on a
+    non-cut vertex that ties it.
     """
-    cuts = child.articulation_points()
-    new_vertex = child.n - 1
-    candidates = [u for u in range(child.n) if u not in cuts]
-    degseqs = {u: _deleted_degree_sequence(child, u) for u in candidates}
-    best_degseq = min(degseqs.values())
-    if degseqs[new_vertex] != best_degseq:
-        return False
-    best_code = min(
-        canonical_form(child.remove_vertex(u))
-        for u in candidates
-        if degseqs[u] == best_degseq
+    deg = [row.bit_count() for row in rows]
+    tied = []
+    for u in range(len(rows) - 1):
+        rest = deg.copy()
+        for w in _bits(rows[u]):
+            rest[w] -= 1
+        del rest[u]
+        rest.sort(reverse=True)
+        if rest > parent_seq:
+            continue
+        if rest == parent_seq:
+            tied.append(u)
+        elif not _is_cut_vertex(rows, u):
+            return False
+    return all(
+        _is_cut_vertex(rows, u)
+        or canonical_form(_without_vertex(rows, u)) >= parent_code
+        for u in tied
     )
-    return parent_code == best_code
+
+
+def _is_cut_vertex(rows: tuple[int, ...], u: int) -> bool:
+    """Does deleting u disconnect the connected graph with these rows?"""
+    keep = ((1 << len(rows)) - 1) ^ (1 << u)
+    reached = frontier = keep & -keep
+    while frontier:
+        grown = 0
+        for w in _bits(frontier):
+            grown |= rows[w]
+        frontier = grown & keep & ~reached
+        reached |= frontier
+    return reached != keep
+
+
+def _without_vertex(rows: tuple[int, ...], u: int) -> Graph:
+    low = (1 << u) - 1
+    return Graph._trusted(len(rows) - 1, tuple(
+        (row & low) | ((row >> (u + 1)) << u) for w, row in enumerate(rows) if w != u
+    ))
 
 
 def _edge_budget_ok(order: int, size: int, n: int, m: int | None) -> bool:
@@ -88,15 +119,17 @@ def _edge_budget_ok(order: int, size: int, n: int, m: int | None) -> bool:
 def _children(parent: Graph, n: int, m: int | None) -> Iterator[Graph]:
     """Accepted children of one parent, deduplicated within the parent."""
     parent_code = canonical_form(parent)
+    parent_seq = list(parent.degree_sequence())
     k = parent.n
     e = parent.m
     seen: set[CanonicalForm] = set()
     for mask in range(1, 1 << k):
         if not _edge_budget_ok(k + 1, e + mask.bit_count(), n, m):
             continue
-        child = parent.add_vertex(u for u in range(k) if (mask >> u) & 1)
-        if not _is_canonical_child(child, parent_code):
+        rows = tuple(row | (((mask >> u) & 1) << k) for u, row in enumerate(parent.adj)) + (mask,)
+        if not _is_canonical_child(rows, parent_seq, parent_code):
             continue
+        child = Graph._trusted(k + 1, rows)
         code = canonical_form(child)
         if code in seen:
             continue

@@ -69,6 +69,11 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _check_order(n: int) -> None:
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"order {n} outside [0, {MAX_VERTICES}]")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1; ``adj[u]`` is a bitmask."""
@@ -78,8 +83,7 @@ class Graph:
 
     def __post_init__(self) -> None:
         n, adj = self.n, self.adj
-        if not 0 <= n <= MAX_VERTICES:
-            raise ValueError(f"order {n} outside [0, {MAX_VERTICES}]")
+        _check_order(n)
         if len(adj) != n:
             raise ValueError(f"adjacency has {len(adj)} rows for order {n}")
         full = (1 << n) - 1
@@ -96,7 +100,17 @@ class Graph:
     # ── construction ──────────────────────────────────────────────
 
     @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """A graph built without validation, for rows already known to
+        form a simple graph (such as those derived from a valid graph)."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        _check_order(n)
         rows = [0] * n
         for u, v in edges:
             if u == v:
@@ -109,26 +123,28 @@ class Graph:
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
+        _check_order(n)
         return cls(n, (0,) * n)
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
+        _check_order(n)
         full = (1 << n) - 1
         return cls(n, tuple(full ^ (1 << u) for u in range(n)))
 
     @classmethod
     def path(cls, n: int) -> "Graph":
-        return cls.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        return cls.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
     @classmethod
     def cycle(cls, n: int) -> "Graph":
         if n < 3:
             raise ValueError("cycle needs at least 3 vertices")
-        return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+        return cls.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
     @classmethod
     def star(cls, n: int) -> "Graph":
-        return cls.from_edges(n, [(0, i) for i in range(1, n)])
+        return cls.from_edges(n, ((0, i) for i in range(1, n)))
 
     # ── elementary queries ────────────────────────────────────────
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cliquex import Graph
+from cliquex import EnumerationTask, Graph, connected_graphs
 
 
 # Edge lists that must not parse: records split on "\n" only (RS, FS, VT and
@@ -32,3 +32,9 @@ def random_connected_graph(rng: random.Random, n: int, p: float = 0.45) -> Graph
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC11C)
+
+
+@pytest.fixture(scope="session")
+def order_eight_classes() -> list[Graph]:
+    """Every connected class of order 8, from one enumeration pass."""
+    return list(connected_graphs(EnumerationTask(8)))

@@ -2,12 +2,15 @@
 tolerance (exact integer equality throughout) and prints one pass/fail
 line. Run with `pytest tests/test_acceptance.py -s` to see the lines.
 
-The optional n = 8 extended grid is gated behind CLIQUEX_EXTENDED=1.
+The optional n = 8 extended grid and the n = 9 counting sweep are
+gated behind CLIQUEX_EXTENDED=1.
 """
 
+import hashlib
 import os
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -24,11 +27,15 @@ from cliquex import (
     verify_s_order_last,
 )
 from cliquex.enumeration import EnumerationTask, connected_graphs
-from cliquex.graphs import canonical_form
+from cliquex.graphs import canonical_form, to_graph6
 from conftest import random_graph
 from labeled_oracle import labeled_classes
+from polya_oracle import connected_counts
 
 EXTENDED = os.environ.get("CLIQUEX_EXTENDED") == "1"
+
+# sha256 of `cliquex enumerate --n 8`: the sorted graph6 lines, one per class
+ENUMERATE_N8_SHA256 = "8e7075e223c1a2727f8de7b26c35d98364a8c70bcffefd84594ff010a420c738"
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -171,9 +178,10 @@ def test_criterion_7_deletion_identity():
 
 def test_criterion_8_enumeration_oracle_cross_validation():
     """Canonical-augmentation output equals labeled-enumeration-plus-
-    dedup on every (n <= 7, m) cell, and the n = 4 class counts are
-    (m=3: 2, m=4: 2, m=5: 1, m=6: 1)."""
+    dedup on every (n <= 7, m) cell, its size equals the Pólya count,
+    and the n = 4 class counts are (m=3: 2, m=4: 2, m=5: 1, m=6: 1)."""
     start = time.perf_counter()
+    polya = connected_counts(7)
     bad_cells = []
     for n in range(1, 8):
         for m in range(n - 1, n * (n - 1) // 2 + 1):
@@ -182,17 +190,58 @@ def test_criterion_8_enumeration_oracle_cross_validation():
                 for g in connected_graphs(EnumerationTask(n, m))
             }
             oracle = labeled_classes(n, m)
-            if engine != oracle:
-                bad_cells.append((n, m, len(engine), len(oracle)))
+            if engine != oracle or len(engine) != polya[n, m]:
+                bad_cells.append((n, m, len(engine), len(oracle), polya[n, m]))
     counts4 = {
         m: len(labeled_classes(4, m)) for m in (3, 4, 5, 6)
     }
     counts_ok = counts4 == {3: 2, 4: 2, 5: 1, 6: 1}
     elapsed = time.perf_counter() - start
     report(
-        "criterion 8: engine vs labeled oracle, all n<=7 cells",
+        "criterion 8: engine vs labeled and Pólya oracles, all n<=7 cells",
         not bad_cells and counts_ok,
         f"{elapsed:.1f}s",
     )
     assert not bad_cells, bad_cells
     assert counts_ok, counts4
+
+
+def polya_mismatches(n: int, sizes: Counter) -> list[tuple[int, int, int]]:
+    """(m, engine count, Pólya count) for every size m where the engine's
+    class count ``sizes[m]`` differs from the oracle's."""
+    polya = connected_counts(n)
+    return [
+        (m, sizes[m], polya[n, m])
+        for m in range(n * (n - 1) // 2 + 1)
+        if sizes[m] != polya[n, m]
+    ]
+
+
+def test_criterion_8_polya_counts_n8(order_eight_classes):
+    """Engine class counts equal the Pólya counts on every (8, m) cell,
+    and the sorted graph6 lines hash to the pinned `enumerate --n 8`
+    output."""
+    bad = polya_mismatches(8, Counter(g.m for g in order_eight_classes))
+    lines = sorted(to_graph6(g) for g in order_eight_classes)
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+    report(
+        "criterion 8: engine vs Pólya oracle, all n=8 cells",
+        not bad and digest == ENUMERATE_N8_SHA256,
+        f"{len(lines)} classes",
+    )
+    assert not bad, bad
+    assert digest == ENUMERATE_N8_SHA256
+
+
+@pytest.mark.extended
+@pytest.mark.skipif(not EXTENDED, reason="set CLIQUEX_EXTENDED=1 for the n=9 sweep")
+def test_criterion_8_extended_polya_counts_n9():
+    start = time.perf_counter()
+    sizes = Counter(g.m for g in connected_graphs(EnumerationTask(9)))
+    bad = polya_mismatches(9, sizes)
+    elapsed = time.perf_counter() - start
+    total = sum(sizes.values())
+    report("criterion 8 (extended): engine vs Pólya oracle, all n=9 cells",
+           not bad and total == 261080, f"{total} classes in {elapsed:.0f}s")
+    assert not bad, bad
+    assert total == 261080

@@ -1,5 +1,6 @@
 import io
 import json
+import resource
 import subprocess
 import sys
 
@@ -69,6 +70,53 @@ def test_count_parse_error(capsys, tmp_path, monkeypatch):
             monkeypatch.setattr(sys, "stdin", io.StringIO(text))
             code, out, err = invoke(capsys, "count", "--s", "3", "--format", fmt)
             assert (code, out) == (2, "") and err, (text, fmt)
+
+
+def _cap_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+
+def test_count_huge_vertex_number_fails_at_once():
+    # The order is checked before one row per vertex is allocated. The
+    # child's address space is capped at 512 MB, so a regression fails
+    # with MemoryError instead of taking gigabytes.
+    proc = subprocess.run(
+        [sys.executable, "-m", "cliquex", "count", "--s", "3"],
+        input="0 1000000000\n",
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "") and "outside [0, 64]" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bound", "--m", "1_0", "--n", "\u0667", "--s", "3"),
+        ("bound", "--m", "1_0", "--n", "7", "--s", "3"),
+        ("bound", "--m", "10", "--n", "\u0667", "--s", "3"),
+        ("bound", "--m", "10", "--n", "7", "--s", "\uff13"),  # fullwidth 3
+        ("decompose", "--m", "+10"),
+        ("count", "--s", "0_3"),
+        ("kernel", "--s", "\u0663"),
+        ("moments", "--jmax", "1_0"),
+        ("construct", "--family", "krt", "--r", "\u0663", "--t", "1"),
+        ("construct", "--family", "bridge", "--p", "4", "--q", "3", "--len", "0_0"),
+        ("enumerate", "--n", "\u0665"),
+        ("enumerate", "--n", "5", "--m", "1_0"),
+        ("enumerate", "--n", "5", "--workers", "1_0"),
+        ("verify", "max-cliques", "--nmax", "\u0665"),
+        ("verify", "max-cliques", "--nmax", "5", "--s", "3,\u0664"),
+        ("verify", "max-cliques", "--nmax", "5", "--s", "3,4_0"),
+        ("verify", "lemmas", "--nmax", "5", "--seed", "1_0"),
+        ("verify", "lemmas", "--nmax", "5", "--iterations", "\u0665"),
+    ],
+)
+def test_integer_options_take_ascii_digits_only(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "") and "ASCII digits" in err
 
 
 @pytest.mark.parametrize(

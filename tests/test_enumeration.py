@@ -10,10 +10,75 @@ from cliquex import (
     construct_extremal_star,
     count_s_cliques,
 )
+from cliquex.enumeration import _children, _is_canonical_child, _without_vertex
 from labeled_oracle import labeled_classes
+from polya_oracle import connected_counts, graph_counts
 
 # connected graph classes per order (OEIS A001349 prefix)
 CONNECTED_TOTALS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+
+
+def reference_is_canonical_child(child: Graph, parent_code: str) -> bool:
+    """The parent test as the rule states it, child by child: among the
+    non-cut vertices (by low-link DFS), the deletions of least sorted
+    degree sequence must include the new vertex, and the parent's code
+    must be the least code of those deletions."""
+    cuts = child.articulation_points()
+    candidates = [u for u in range(child.n) if u not in cuts]
+    deg = child.degrees()
+    degseqs = {
+        u: sorted((deg[w] - child.has_edge(u, w) for w in range(child.n) if w != u), reverse=True)
+        for u in candidates
+    }
+    best = min(degseqs.values())
+    if degseqs[child.n - 1] != best:
+        return False
+    return parent_code == min(
+        canonical_form(child.remove_vertex(u)) for u in candidates if degseqs[u] == best
+    )
+
+
+def test_parent_test_matches_reference_rule():
+    """Every (parent, neighbour mask) the engine tries for n <= 7 gets the
+    reference verdict, and every graph the engine builds without
+    validation is the one the validated constructors build."""
+    level = [Graph(1, (0,))]
+    tried = accepted = 0
+    for k in range(1, 7):
+        grown = []
+        for parent in level:
+            code = canonical_form(parent)
+            seq = list(parent.degree_sequence())
+            for mask in range(1, 1 << k):
+                child = parent.add_vertex(u for u in range(k) if (mask >> u) & 1)
+                verdict = _is_canonical_child(child.adj, seq, code)
+                assert verdict == reference_is_canonical_child(child, code), (parent, mask)
+                tried += 1
+                accepted += verdict
+                for u in range(k):
+                    without = _without_vertex(child.adj, u)
+                    assert without == child.remove_vertex(u)
+                    assert Graph(without.n, without.adj) == without
+            for child in _children(parent, 7, None):
+                assert child == parent.add_vertex(child.neighbors(k))
+                assert Graph(child.n, child.adj) == child
+                grown.append(child)
+        level = grown
+    assert len(level) == CONNECTED_TOTALS[7]
+    # tried: sum over orders k <= 6 of (classes of order k) * (2^k - 1)
+    assert (tried, accepted) == (7815, 1628)
+
+
+def test_polya_oracle_totals():
+    # all graphs (OEIS A000088) and connected graphs (A001349), n = 1..9
+    assert [sum(graph_counts(n)) for n in range(1, 10)] == [
+        1, 2, 4, 11, 34, 156, 1044, 12346, 274668
+    ]
+    counts = connected_counts(9)
+    totals = [sum(counts[n, m] for m in range(n * (n - 1) // 2 + 1)) for n in range(1, 10)]
+    assert totals == [1, 1, 2, 6, 21, 112, 853, 11117, 261080]
+    assert all(counts[n, m] == 0 for n, m in counts if m < n - 1)
+    assert counts[9, 8] == 47  # trees on nine vertices
 
 
 def class_codes(n, m=None, worker_index=0, worker_count=1):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -57,6 +58,19 @@ def test_rejects_out_of_range():
         Graph.from_edges(2, [(0, 5)])
     with pytest.raises(ValueError):
         Graph(65, (0,) * 65)
+
+
+@pytest.mark.parametrize("build", [Graph.empty, lambda n: Graph.from_edges(n, [(0, n - 1)])])
+def test_order_cap_checked_before_allocating(build):
+    # one row per vertex would take 8 MB at this order
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="outside \\[0, 64\\]"):
+            build(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_random_graphs_stay_symmetric_irreflexive(rng):
