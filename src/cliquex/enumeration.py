@@ -10,10 +10,12 @@ classes and workers can split the tree with no shared state (McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
 
 The parent test works on the child's adjacency rows, built from the
-parent's rows and a neighbour mask. Most children lose on degree
-sequence alone, so the cut test (one bitmask reachability pass) runs
-only for a deletion whose sequence is no larger than the parent's,
-and a canonical search only for a non-cut deletion that ties it.
+parent's rows and a neighbour mask. Degree sequences compare as
+integer keys, and a deletion's key follows from the child's by
+arithmetic. Most children lose on that key alone, so the cut test
+(one bitmask reachability pass) runs only for a deletion whose
+sequence is no larger than the parent's, and a canonical search only
+for a non-cut deletion that ties it.
 Children and tied deletions of a valid parent are valid by
 construction and skip ``Graph`` validation.
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Hashable, Iterable, Iterator
 
-from .graphs import CanonicalForm, Graph, _bits, canonical_form, canonical_graph
+from .graphs import CanonicalForm, Graph, canonical_form, canonical_graph
 
 MAX_EXHAUSTIVE_ORDER = 9
 
@@ -54,30 +56,41 @@ class EnumerationTask:
             raise ValueError("worker index outside 0..worker_count-1")
 
 
-def _is_canonical_child(rows: tuple[int, ...], parent_seq: list[int],
+def _degree_key(degrees: Iterable[int]) -> int:
+    """Sum of 16**d over the degrees. Hex digit d counts the degrees
+    equal to d, so keys of equally long sequences of fewer than 16
+    entries order as the nonincreasing sequences do."""
+    return sum(1 << 4 * k for k in degrees)
+
+
+def _is_canonical_child(rows: tuple[int, ...], parent_key: int,
                         parent_code: CanonicalForm) -> bool:
     """Parent test: did the child with adjacency ``rows`` come from its
-    canonical parent (the last vertex deleted, of degree sequence
-    ``parent_seq`` and code ``parent_code``)?
+    canonical parent (the last vertex deleted, of degree key
+    ``parent_key`` and code ``parent_code``)?
 
     The canonical parent is the deletion of the non-cutvertex u
     minimizing (degree sequence of child - u, canonical form of
     child - u); the new vertex is never a cut vertex. Sequences are
-    compared first, so the cut test runs only on a vertex whose
-    deletion could beat the parent, and a canonical search only on a
-    non-cut vertex that ties it.
+    compared first, as degree keys, so the cut test runs only on a
+    vertex whose deletion could beat the parent, and a canonical search
+    only on a non-cut vertex that ties it.
     """
-    deg = [row.bit_count() for row in rows]
+    power = [1 << 4 * row.bit_count() for row in rows]
+    key = sum(power)
     tied = []
     for u in range(len(rows) - 1):
-        rest = deg.copy()
-        for w in _bits(rows[u]):
-            rest[w] -= 1
-        del rest[u]
-        rest.sort(reverse=True)
-        if rest > parent_seq:
+        # child - u: u's term goes, and each neighbour's degree drops by one
+        rest = key - power[u]
+        nbrs = rows[u]
+        while nbrs:
+            bit = nbrs & -nbrs
+            nbrs ^= bit
+            p = power[bit.bit_length() - 1]
+            rest -= p - (p >> 4)
+        if rest > parent_key:
             continue
-        if rest == parent_seq:
+        if rest == parent_key:
             tied.append(u)
         elif not _is_cut_vertex(rows, u):
             return False
@@ -94,8 +107,10 @@ def _is_cut_vertex(rows: tuple[int, ...], u: int) -> bool:
     reached = frontier = keep & -keep
     while frontier:
         grown = 0
-        for w in _bits(frontier):
-            grown |= rows[w]
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            grown |= rows[bit.bit_length() - 1]
         frontier = grown & keep & ~reached
         reached |= frontier
     return reached != keep
@@ -119,7 +134,7 @@ def _edge_budget_ok(order: int, size: int, n: int, m: int | None) -> bool:
 def _children(parent: Graph, n: int, m: int | None) -> Iterator[Graph]:
     """Accepted children of one parent, deduplicated within the parent."""
     parent_code = canonical_form(parent)
-    parent_seq = list(parent.degree_sequence())
+    parent_key = _degree_key(parent.degrees())
     k = parent.n
     e = parent.m
     seen: set[CanonicalForm] = set()
@@ -127,7 +142,7 @@ def _children(parent: Graph, n: int, m: int | None) -> Iterator[Graph]:
         if not _edge_budget_ok(k + 1, e + mask.bit_count(), n, m):
             continue
         rows = tuple(row | (((mask >> u) & 1) << k) for u, row in enumerate(parent.adj)) + (mask,)
-        if not _is_canonical_child(rows, parent_seq, parent_code):
+        if not _is_canonical_child(rows, parent_key, parent_code):
             continue
         child = Graph._trusted(k + 1, rows)
         code = canonical_form(child)

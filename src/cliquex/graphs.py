@@ -12,7 +12,8 @@ result is still a graph.
 
 An isomorphism class is named by the graph6 record of its canonical
 labeling (``canonical_form``), and ``canonical_graph`` decodes that
-record, so one canonical search serves both. One packer writes every
+record, so one canonical search serves both; the decoder's rows are
+simple by construction and skip validation. One packer writes every
 graph6 record. Text input is read one "\\n"-separated line at a time,
 with only ASCII whitespace stripped, so no other control character
 ever separates or ends a record.
@@ -300,52 +301,52 @@ def canonical_form(g: Graph) -> CanonicalForm:
     Positions are pre-assigned degrees (nonincreasing), so only
     permutations listing vertices in sorted-degree order compete; at
     each depth only candidates realizing the minimal adjacency column
-    branch. Twins collapse to a single branch. Exact for n <= 12;
-    highly symmetric graphs near that cap can be slow.
+    branch. Twins collapse to a single branch. Each node extends every
+    column by the bit of the vertex just placed, and a partial bit
+    field is pruned against the best field's prefix. Exact for
+    n <= 12; highly symmetric graphs near that cap can be slow.
     """
     n = g.n
     if n > MAX_CANONICAL_VERTICES:
         raise ValueError(f"canonical form limited to n <= {MAX_CANONICAL_VERTICES}")
+    adj = g.adj
     seq = g.degree_sequence()
-    deg = g.degrees()
-    best: list[int] | None = None
-    placed: list[int] = []
-    chunks: list[int] = []  # chunk d: the column of position d, position 0 first
+    by_degree = dict.fromkeys(seq, 0)
+    for u, row in enumerate(adj):
+        by_degree[row.bit_count()] |= 1 << u
+    cells = [by_degree[k] for k in seq]  # cells[d]: the vertices of degree seq[d]
+    # shift[d]: the bits of a full field after the columns of positions 0..d
+    shift = [n * (n - 1) // 2 - d * (d + 1) // 2 for d in range(n)]
+    best: int | None = None
 
-    def dfs() -> None:
+    def dfs(d: int, unplaced: int, cols: list[int], field: int) -> None:
+        # cols[u]: u's adjacency to the placed vertices, position 0 first
         nonlocal best
-        d = len(placed)
-        if d == n:
-            if best is None or chunks < best:
-                best = chunks.copy()
+        cands = cells[d] & unplaced
+        low = 1 << d  # above every column of d bits
+        while cands:
+            bit = cands & -cands
+            cands ^= bit
+            u = bit.bit_length() - 1
+            col = cols[u]
+            if col < low:
+                low, branch = col, [u]
+            elif col == low:
+                branch.append(u)
+        field = (field << d) | low
+        if best is not None and field > best >> shift[d]:
             return
-        used = set(placed)
-        cands = [u for u in range(n) if u not in used and deg[u] == seq[d]]
-        cols = {}
-        for u in cands:
-            col = 0
-            for p in placed:
-                col = (col << 1) | ((g.adj[u] >> p) & 1)
-            cols[u] = col
-        low = min(cols.values())
-        if best is not None:
-            prefix = chunks + [low]
-            if prefix > best[: d + 1]:
-                return
-        branch = _twin_skip(g, [u for u in cands if cols[u] == low])
-        chunks.append(low)
-        for u in branch:
-            placed.append(u)
-            dfs()
-            placed.pop()
-        chunks.pop()
+        if d == n - 1:
+            best = field
+            return
+        for u in _twin_skip(g, branch) if len(branch) > 1 else branch:
+            row = adj[u]
+            dfs(d + 1, unplaced ^ (1 << u),
+                [(col << 1) | ((row >> v) & 1) for v, col in enumerate(cols)], field)
 
-    dfs()
-    assert best is not None
-    field = 0
-    for d, chunk in enumerate(best):
-        field = (field << d) | chunk
-    return _graph6(n, field)
+    if n:
+        dfs(0, (1 << n) - 1, [0] * n, 0)
+    return _graph6(n, best or 0)  # n = 0: the empty field
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -443,7 +444,8 @@ def from_graph6(text: str) -> Graph:
             if (field >> bit) & 1:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    # rows filled from a u < v bit field are symmetric and loop-free
+    return Graph._trusted(n, tuple(rows))
 
 
 def text_lines(text: str) -> list[str]:

@@ -1,4 +1,9 @@
+import hashlib
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquex import (
     EnumerationTask,
@@ -9,8 +14,9 @@ from cliquex import (
     connected_graphs,
     construct_extremal_star,
     count_s_cliques,
+    to_graph6,
 )
-from cliquex.enumeration import _children, _is_canonical_child, _without_vertex
+from cliquex.enumeration import _children, _degree_key, _is_canonical_child, _without_vertex
 from labeled_oracle import labeled_classes
 from polya_oracle import connected_counts, graph_counts
 
@@ -48,10 +54,10 @@ def test_parent_test_matches_reference_rule():
         grown = []
         for parent in level:
             code = canonical_form(parent)
-            seq = list(parent.degree_sequence())
+            key = _degree_key(parent.degrees())
             for mask in range(1, 1 << k):
                 child = parent.add_vertex(u for u in range(k) if (mask >> u) & 1)
-                verdict = _is_canonical_child(child.adj, seq, code)
+                verdict = _is_canonical_child(child.adj, key, code)
                 assert verdict == reference_is_canonical_child(child, code), (parent, mask)
                 tried += 1
                 accepted += verdict
@@ -67,6 +73,44 @@ def test_parent_test_matches_reference_rule():
     assert len(level) == CONNECTED_TOTALS[7]
     # tried: sum over orders k <= 6 of (classes of order k) * (2^k - 1)
     assert (tried, accepted) == (7815, 1628)
+
+
+@st.composite
+def degree_list_pairs(draw):
+    n = draw(st.integers(0, 10))
+    same_length = st.lists(st.integers(0, 9), min_size=n, max_size=n)
+    a = draw(same_length)
+    return a, draw(st.one_of(same_length, st.permutations(a)))  # permutations tie
+
+
+@settings(max_examples=500, deadline=None)
+@given(degree_list_pairs())
+def test_degree_key_orders_as_sorted_sequences(pair):
+    a, b = pair
+    ka, kb = _degree_key(a), _degree_key(b)
+    sa, sb = sorted(a, reverse=True), sorted(b, reverse=True)
+    assert (ka < kb, ka == kb) == (sa < sb, sa == sb)
+
+
+def test_degree_key_orders_every_short_sequence():
+    # exhaustive over lengths <= 10 and entries <= 9, where sampling rarely
+    # draws the long runs of one degree that a too-small base would carry
+    for n in range(11):
+        seqs = [s[::-1] for s in itertools.combinations_with_replacement(range(10), n)]
+        keys = [_degree_key(s) for s in sorted(seqs)]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_generation_tree_unchanged():
+    """The number of canonical searches and the unsorted yield order at
+    n = 7 pin the generation tree itself, which the sorted class digests
+    cannot see."""
+    canonical_form.cache_clear()
+    lines = [to_graph6(g) for g in connected_graphs(EnumerationTask(7))]
+    assert canonical_form.cache_info().misses == 2227
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "03b80f7e2835dacdac9a772ee53dc2c75b2206cee2ea405b0f29ee41f99aed54"
+    )
 
 
 def test_polya_oracle_totals():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliquex import (
+    EnumerationTask,
     Graph,
     Graph6AlphabetError,
     Graph6Error,
@@ -18,11 +19,13 @@ from cliquex import (
     canonical_graph,
     construct_bridge,
     construct_krt,
+    connected_graphs,
     from_edge_list,
     from_graph6,
     is_isomorphic,
     to_graph6,
 )
+from canonical_oracle import reference_canonical_form
 from conftest import MALFORMED_EDGE_LISTS, random_connected_graph, random_graph
 
 PETERSEN_EDGES = [
@@ -285,8 +288,8 @@ def test_one_canonical_search_per_class():
 
 
 @st.composite
-def graphs_and_relabelings(draw):
-    n = draw(st.integers(0, 9))
+def graphs_and_relabelings(draw, max_order=9):
+    n = draw(st.integers(0, max_order))
     field = draw(st.integers(0, (1 << n * (n - 1) // 2) - 1))
     pairs = [(u, v) for v in range(1, n) for u in range(v)]
     g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if field >> i & 1])
@@ -297,9 +300,12 @@ def graphs_and_relabelings(draw):
 @given(graphs_and_relabelings())
 def test_code_contract(case):
     g, perm = case
-    assert from_graph6(to_graph6(g)) == g
+    back = from_graph6(to_graph6(g))
+    assert back == g
     code = canonical_form(g)
     cg = canonical_graph(g)
+    # from_graph6 builds its rows unvalidated; the validating constructor agrees
+    assert Graph(back.n, back.adj) == back and Graph(cg.n, cg.adj) == cg
     assert code == to_graph6(cg)
     assert canonical_form(g.relabel(perm)) == code
     assert nx.is_isomorphic(_nx(g), _nx(cg))
@@ -314,6 +320,31 @@ def test_isomorphism_agrees_with_networkx(rng):
             nx.from_graph6_bytes(to_graph6(h).encode()),
         )
         assert is_isomorphic(g, h) == theirs
+
+
+def _complement(g):
+    full = (1 << g.n) - 1
+    return Graph(g.n, tuple(full ^ (1 << u) ^ row for u, row in enumerate(g.adj)))
+
+
+def test_canonical_form_matches_reference_on_every_small_class(rng):
+    # a graph or its complement is connected, so these cover every class of order <= 7
+    for n in range(1, 8):
+        for g in connected_graphs(EnumerationTask(n)):
+            for h in (g, _complement(g)):
+                for _ in range(3):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    relabeled = h.relabel(perm)
+                    assert canonical_form(relabeled) == reference_canonical_form(relabeled)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_and_relabelings(max_order=10))
+def test_canonical_form_matches_reference(case):
+    g, perm = case
+    relabeled = g.relabel(perm)
+    assert canonical_form(relabeled) == reference_canonical_form(relabeled)
 
 
 def test_canonical_form_order_cap():
