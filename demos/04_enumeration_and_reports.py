@@ -10,7 +10,7 @@ enumerated truth.
 
 from cliquex import (
     EnumerationTask,
-    class_fold,
+    argmax_fold,
     connected_graphs,
     count_s_cliques,
     to_graph6,
@@ -40,10 +40,12 @@ for m in range(3, 7):
 
 # ── folding a measure over a class ────────────────────────────────
 
-value, witnesses = class_fold(EnumerationTask(7, 12), lambda g: count_s_cliques(g, 3))
+# argmax_fold folds every connected graph of one order into cells, here
+# one per size m, keeping the maximum and every graph attaining it.
+value, witnesses = argmax_fold(7, lambda g: ((g.m, count_s_cliques(g, 3)),))[12]
 print(f"\nmax triangles over all connected (12, 7)-graphs: {value}")
 print(f"attained by {len(witnesses)} class(es): "
-      + ", ".join(to_graph6(g) for g in witnesses))
+      + ", ".join(sorted(to_graph6(g) for g in witnesses)))
 
 # ── reports ───────────────────────────────────────────────────────
 # The harnesses sweep full parameter grids and emit JSON; a mismatch

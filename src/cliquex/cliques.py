@@ -1,9 +1,9 @@
 """Exact s-clique counting on bitmask graphs.
 
-Cliques are counted (never listed) by recursive intersection of
-neighborhood bitmasks, visiting each clique once in increasing vertex
-order. Counts are exact integers; with n <= 64 they stay far below
-any overflow concern.
+Cliques are counted (never listed) by one recursion over neighborhood
+bitmasks, which grows each clique in increasing vertex order and so
+visits it once; every public count reads from it. Counts are exact
+integers; with n <= 64 they stay far below any overflow concern.
 """
 
 from __future__ import annotations
@@ -11,20 +11,23 @@ from __future__ import annotations
 from .graphs import Graph
 
 
-def _count_within(adj: tuple[int, ...], candidates: int, want: int) -> int:
-    """want-cliques among the vertices of the candidates mask."""
-    if want == 1:
-        return candidates.bit_count()
-    if candidates.bit_count() < want:
-        return 0
-    total = 0
-    rest = candidates
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        u = low.bit_length() - 1
-        total += _count_within(adj, rest & adj[u], want - 1)
-    return total
+def _clique_counts(adj: tuple[int, ...], candidates: int, s_max: int) -> list[int]:
+    """[k_0, ..., k_{s_max}] of the graph induced on the candidates
+    mask, for s_max >= 1. Each candidate extends the current clique by
+    one vertex, so the last depth adds its candidates at once."""
+    counts = [1] + [0] * s_max
+
+    def grow(cands: int, size: int) -> None:
+        counts[size] += cands.bit_count()
+        if size == s_max:
+            return
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            grow(cands & adj[low.bit_length() - 1], size + 1)
+
+    grow(candidates, 1)
+    return counts
 
 
 def count_s_cliques(g: Graph, s: int) -> int:
@@ -36,29 +39,14 @@ def count_s_cliques(g: Graph, s: int) -> int:
         raise ValueError("clique order must be at least 1")
     if s > g.n:
         return 0
-    return _count_within(g.adj, (1 << g.n) - 1, s)
+    return _clique_counts(g.adj, (1 << g.n) - 1, s)[s]
 
 
 def clique_counts_upto(g: Graph, s_max: int) -> tuple[int, ...]:
     """(k_1, ..., k_{s_max}) in one recursive sweep."""
     if s_max < 1:
         raise ValueError("clique order must be at least 1")
-    counts = [0] * (s_max + 1)
-    adj = g.adj
-
-    def rec(candidates: int, depth: int) -> None:
-        if depth == s_max:
-            return
-        rest = candidates
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
-            counts[depth + 1] += 1
-            rec(rest & adj[u], depth + 1)
-
-    rec((1 << g.n) - 1, 0)
-    return tuple(counts[1:])
+    return tuple(_clique_counts(g.adj, (1 << g.n) - 1, s_max)[1:])
 
 
 def deletion_identity_check(g: Graph, v: int, s: int) -> tuple[int, int]:
@@ -73,5 +61,7 @@ def deletion_identity_check(g: Graph, v: int, s: int) -> tuple[int, int]:
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} not in graph")
     lhs = count_s_cliques(g, s)
-    rhs = count_s_cliques(g.remove_vertex(v), s) + _count_within(g.adj, g.adj[v], s - 1)
-    return lhs, rhs
+    nbrs = g.adj[v]
+    # a neighborhood smaller than s - 1 holds no (s-1)-clique
+    within = _clique_counts(g.adj, nbrs, s - 1)[s - 1] if s - 1 <= nbrs.bit_count() else 0
+    return lhs, count_s_cliques(g.remove_vertex(v), s) + within

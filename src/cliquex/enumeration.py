@@ -19,17 +19,21 @@ for a non-cut deletion that ties it.
 Children and tied deletions of a valid parent are valid by
 construction and skip ``Graph`` validation.
 
+``argmax_fold`` is the one fold over an order's classes, and
+``map_partitions`` runs slices on at most the CPU count of processes.
 The engine's oracles (labeled enumeration, Pólya counting and the
 parent test written out rule by rule) live in the test suite.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Hashable, Iterable, Iterator
 
+from .extremal import feasible_size
 from .graphs import CanonicalForm, Graph, canonical_form, canonical_graph
 
 MAX_EXHAUSTIVE_ORDER = 9
@@ -50,7 +54,7 @@ class EnumerationTask:
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_EXHAUSTIVE_ORDER:
             raise ValueError(f"exhaustive enumeration supports 1 <= n <= {MAX_EXHAUSTIVE_ORDER}")
-        if self.m is not None and not (self.n - 1 <= self.m <= self.n * (self.n - 1) // 2):
+        if self.m is not None and not feasible_size(self.m, self.n):
             raise ValueError(f"no connected graph has n={self.n}, m={self.m}")
         if not 0 <= self.worker_index < self.worker_count:
             raise ValueError("worker index outside 0..worker_count-1")
@@ -152,23 +156,14 @@ def _children(parent: Graph, n: int, m: int | None) -> Iterator[Graph]:
         yield child
 
 
-def _levels_until(n: int, m: int | None, depth: int) -> list[Graph]:
-    level = [Graph(1, (0,))]
-    for k in range(1, depth):
-        level = [child for parent in level for child in _children(parent, n, m)]
-    return level
-
-
 def connected_graphs(task: EnumerationTask) -> Iterator[Graph]:
     """Exactly one canonical representative per isomorphism class of
     connected graphs with the requested order (and size, if given)."""
     n, m = task.n, task.m
-    if n == 1:
-        if task.worker_index == 0 and m in (None, 0):
-            yield Graph(1, (0,))
-        return
-    frontier_depth = min(_FRONTIER_CAP, n - 1)
-    frontier = sorted(_levels_until(n, m, frontier_depth), key=canonical_form)
+    frontier = [Graph(1, (0,))]
+    for _ in range(1, min(_FRONTIER_CAP, n - 1)):
+        frontier = [child for parent in frontier for child in _children(parent, n, m)]
+    frontier.sort(key=canonical_form)
     for idx, root in enumerate(frontier):
         if idx % task.worker_count != task.worker_index:
             continue
@@ -186,11 +181,12 @@ def map_partitions(fn: Callable[[EnumerationTask], Any], n: int, m: int | None =
                    workers: int = 1) -> list:
     """``fn`` applied to each of the ``workers`` slices of the (n, m)
     generation tree, in slice order: in process when ``workers == 1``,
-    otherwise one process per slice (``fn`` must then be picklable)."""
+    otherwise on at most the CPU count of processes (``fn`` must then
+    be picklable)."""
     tasks = [EnumerationTask(n, m, worker_index=w, worker_count=workers) for w in range(workers)]
     if workers == 1:
         return [fn(tasks[0])]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         return list(pool.map(fn, tasks))
 
 
@@ -226,15 +222,3 @@ def argmax_fold(n: int, cells: Callable[[Graph], Iterable[tuple[Hashable, Any]]]
         for cell, (value, graphs) in part.items():
             _keep_max(best, cell, value, graphs)
     return best
-
-
-def class_fold(task: EnumerationTask, measure: Callable[[Graph], int]) -> tuple[int, list[Graph]]:
-    """Maximum of ``measure`` over the task's slice of the class, with
-    every graph attaining it (canonical representatives, sorted by
-    canonical form). An empty slice raises ``ValueError``."""
-    best = _fold_task(lambda g: ((None, measure(g)),), task)
-    if not best:
-        raise ValueError(f"empty class for n={task.n}, m={task.m}")
-    value, witnesses = best[None]
-    witnesses.sort(key=canonical_form)
-    return value, witnesses

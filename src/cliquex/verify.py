@@ -101,8 +101,9 @@ def _clique_orders(s_values: set[int]) -> list[int]:
 
 
 def _clique_cells(svals: tuple[int, ...], g: Graph) -> list[tuple[tuple[int, int], int]]:
-    counts = clique_counts_upto(g, svals[-1])
-    return [((g.m, s), counts[s - 1]) for s in svals]
+    # no clique is larger than the graph, so count only up to its order
+    counts = clique_counts_upto(g, min(svals[-1], g.n))
+    return [((g.m, s), counts[s - 1] if s <= g.n else 0) for s in svals]
 
 
 def _moment_cells(g: Graph) -> list[tuple[int, tuple[int, ...]]]:

@@ -38,3 +38,20 @@ def rng() -> random.Random:
 def order_eight_classes() -> list[Graph]:
     """Every connected class of order 8, from one enumeration pass."""
     return list(connected_graphs(EnumerationTask(8)))
+
+
+class InlinePool:
+    """Stands in for the process pool so that slices run, and are
+    counted, in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)

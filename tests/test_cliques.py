@@ -123,6 +123,13 @@ def test_deletion_identity_sides_match_subset_oracle(rng):
         assert rhs == brute_count(without, s) + nbr_count
 
 
+def test_huge_clique_order_counts_zero_at_once():
+    g = construct_krt(5, 3)
+    assert count_s_cliques(g, 10**9) == 0
+    for v in range(g.n):
+        assert deletion_identity_check(g, v, 10**9) == (0, 0)
+
+
 def test_deletion_identity_rejects_bad_args():
     with pytest.raises(ValueError):
         deletion_identity_check(Graph.complete(3), 0, 1)

@@ -8,15 +8,22 @@ from hypothesis import strategies as st
 from cliquex import (
     EnumerationTask,
     Graph,
+    argmax_fold,
     canonical_form,
     canonical_graph,
-    class_fold,
     connected_graphs,
     construct_extremal_star,
     count_s_cliques,
     to_graph6,
 )
-from cliquex.enumeration import _children, _degree_key, _is_canonical_child, _without_vertex
+from cliquex.enumeration import (
+    _children,
+    _degree_key,
+    _is_canonical_child,
+    _without_vertex,
+    map_partitions,
+)
+from conftest import InlinePool
 from labeled_oracle import labeled_classes
 from polya_oracle import connected_counts, graph_counts
 
@@ -176,14 +183,40 @@ def test_task_validation():
 
 
 def test_worker_partition_is_a_partition():
-    full = class_codes(6)
-    for worker_count in (1, 2, 4, 8):
-        parts = [
-            class_codes(6, worker_index=w, worker_count=worker_count)
-            for w in range(worker_count)
-        ]
-        assert set().union(*parts) == full
-        assert sum(len(p) for p in parts) == len(full)
+    for n in (1, 6):
+        full = class_codes(n)
+        for worker_count in (1, 2, 4, 8):
+            parts = [
+                class_codes(n, worker_index=w, worker_count=worker_count)
+                for w in range(worker_count)
+            ]
+            assert set().union(*parts) == full
+            assert sum(len(p) for p in parts) == len(full)
+    # K1 is its own single frontier root, so only worker 0 yields it
+    assert class_codes(1, worker_index=1, worker_count=2) == set()
+    assert class_codes(1) == {canonical_form(Graph(1, (0,)))}
+
+
+def _slice_codes(task):
+    return task.worker_index, class_codes(task.n, task.m, task.worker_index, task.worker_count)
+
+
+def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
+    import cliquex.enumeration as enumeration
+
+    asked = []
+
+    class RecordingPool(InlinePool):
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    parts = map_partitions(_slice_codes, 5, workers=64)
+    assert asked == [2]
+    assert [w for w, _ in parts] == list(range(64))
+    assert set().union(*(codes for _, codes in parts)) == class_codes(5)
+    assert sum(len(codes) for _, codes in parts) == CONNECTED_TOTALS[5]
 
 
 def test_worker_partition_per_cell():
@@ -234,46 +267,29 @@ def test_labeled_classes_validation():
         labeled_classes(4, 7)
 
 
-def test_class_fold_examples():
-    value, witnesses = class_fold(
-        EnumerationTask(7, 10), lambda g: count_s_cliques(g, 3)
-    )
+def _triangle_cells(g):
+    return ((g.m, count_s_cliques(g, 3)),)
+
+
+def test_argmax_fold_examples():
+    value, witnesses = argmax_fold(7, _triangle_cells)[10]
     assert value == 5
     codes = {canonical_form(g) for g in witnesses}
     assert canonical_form(construct_extremal_star(10, 7)) in codes
 
-    value, witnesses = class_fold(
-        EnumerationTask(5, 10), lambda g: count_s_cliques(g, 3)
-    )
+    value, witnesses = argmax_fold(5, _triangle_cells)[10]
     assert value == 10 and len(witnesses) == 1
 
-    value, witnesses = class_fold(
-        EnumerationTask(6, 5), lambda g: count_s_cliques(g, 3)
-    )
+    value, witnesses = argmax_fold(6, _triangle_cells)[5]
     assert value == 0
     assert len(witnesses) == 6  # every tree on six vertices attains zero
 
-    # K_3 is the whole (3, 3) class and grows from a single frontier root
-    with pytest.raises(ValueError):
-        class_fold(EnumerationTask(3, 3, worker_index=1, worker_count=2), lambda g: 0)
 
-
-def test_class_fold_partition_invariance():
-    baseline = class_fold(EnumerationTask(6, 8), lambda g: count_s_cliques(g, 3))
-    base_codes = [canonical_form(g) for g in baseline[1]]
-    for worker_count in (2, 4):
-        merged_value = None
-        merged = []
-        for w in range(worker_count):
-            task = EnumerationTask(6, 8, worker_index=w, worker_count=worker_count)
-            try:
-                value, witnesses = class_fold(task, lambda g: count_s_cliques(g, 3))
-            except ValueError:
-                continue  # a worker slice may be empty
-            if merged_value is None or value > merged_value:
-                merged_value, merged = value, list(witnesses)
-            elif value == merged_value:
-                merged.extend(witnesses)
-        assert merged_value == baseline[0]
-        assert sorted(canonical_form(g) for g in merged) == sorted(base_codes)
-
+def test_argmax_fold_partition_invariance():
+    graphs = list(connected_graphs(EnumerationTask(6, 8)))
+    best = max(count_s_cliques(g, 3) for g in graphs)
+    base_codes = sorted(canonical_form(g) for g in graphs if count_s_cliques(g, 3) == best)
+    for workers in (1, 2, 4):
+        value, witnesses = argmax_fold(6, _triangle_cells, workers)[8]
+        assert value == best
+        assert sorted(canonical_form(g) for g in witnesses) == base_codes

@@ -11,6 +11,7 @@ from cliquex import (
     verify_max_cliques,
     verify_s_order_last,
 )
+from conftest import InlinePool as _InlinePool
 
 SCHEMA_KEYS = {"n", "m", "s", "predicted", "observed", "status", "witnesses", "ties"}
 
@@ -24,6 +25,14 @@ def test_max_cliques_grid_matches():
     assert cells[(6, 5, 3)]["observed"] == 0  # tree band
     for cell in report.grid:
         assert SCHEMA_KEYS <= set(cell)
+
+
+def test_clique_orders_above_n_read_zero():
+    # counting to the largest order asked would allocate 8 GB per graph
+    report = verify_max_cliques(4, {3, 10**9})
+    assert not report.mismatches
+    assert len(report.grid) == 2 * 6  # each s at (3, 2..3) and (4, 3..6)
+    assert all(c["observed"] == 0 for c in report.grid if c["s"] == 10**9)
 
 
 def test_max_cliques_witnesses_reverify():
@@ -150,23 +159,6 @@ def test_reports_invariant_under_worker_count():
     a = verify_extremal_kernels(6, {3, 4}, workers=1).to_json(timing=False)
     b = verify_extremal_kernels(6, {3, 4}, workers=2).to_json(timing=False)
     assert a == b
-
-
-class _InlinePool:
-    """Stands in for the process pool so that slices run, and are
-    counted, in this process."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
 
 
 def test_each_harness_enumerates_each_order_once_per_slice(monkeypatch):
