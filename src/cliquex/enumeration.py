@@ -16,6 +16,11 @@ arithmetic. Most children lose on that key alone, so the cut test
 (one bitmask reachability pass) runs only for a deletion whose
 sequence is no larger than the parent's, and a canonical search only
 for a non-cut deletion that ties it.
+Twins (vertices with the same neighbours apart from each other) are
+used twice. Swapping two twins of the parent is an automorphism, so
+only the least neighbour mask of each twin orbit is tried. A tied
+vertex that is a twin of the new vertex in the child needs no search,
+since deleting it gives the parent again.
 Children and tied deletions of a valid parent are valid by
 construction and skip ``Graph`` validation.
 
@@ -34,7 +39,7 @@ from functools import partial
 from typing import Any, Callable, Hashable, Iterable, Iterator
 
 from .extremal import feasible_size
-from .graphs import CanonicalForm, Graph, canonical_form, canonical_graph
+from .graphs import CanonicalForm, Graph, are_twins, canonical_form, canonical_graph
 
 MAX_EXHAUSTIVE_ORDER = 9
 
@@ -80,10 +85,11 @@ def _is_canonical_child(rows: tuple[int, ...], parent_key: int,
     vertex whose deletion could beat the parent, and a canonical search
     only on a non-cut vertex that ties it.
     """
+    k = len(rows) - 1
     power = [1 << 4 * row.bit_count() for row in rows]
     key = sum(power)
     tied = []
-    for u in range(len(rows) - 1):
+    for u in range(k):
         # child - u: u's term goes, and each neighbour's degree drops by one
         rest = key - power[u]
         nbrs = rows[u]
@@ -99,7 +105,8 @@ def _is_canonical_child(rows: tuple[int, ...], parent_key: int,
         elif not _is_cut_vertex(rows, u):
             return False
     return all(
-        _is_cut_vertex(rows, u)
+        are_twins(rows, u, k)  # swapping u and k maps child - u onto the parent
+        or _is_cut_vertex(rows, u)
         or canonical_form(_without_vertex(rows, u)) >= parent_code
         for u in tied
     )
@@ -141,8 +148,18 @@ def _children(parent: Graph, n: int, m: int | None) -> Iterator[Graph]:
     parent_key = _degree_key(parent.degrees())
     k = parent.n
     e = parent.m
+    # Masks in one orbit of the parent's twin swaps give isomorphic children
+    # with one verdict; the least of the orbit takes a prefix of each class.
+    prefixes: dict[int, list[int]] = {}  # least member of a twin class: its prefix masks
+    for u in range(k):
+        least = next((r for r in prefixes if are_twins(parent.adj, r, u)), u)
+        prefix = prefixes.setdefault(least, [0])
+        prefix.append(prefix[-1] | 1 << u)
+    masks = [0]
+    for prefix in prefixes.values():
+        masks = [mask | p for mask in masks for p in prefix]
     seen: set[CanonicalForm] = set()
-    for mask in range(1, 1 << k):
+    for mask in sorted(masks)[1:]:
         if not _edge_budget_ok(k + 1, e + mask.bit_count(), n, m):
             continue
         rows = tuple(row | (((mask >> u) & 1) << k) for u, row in enumerate(parent.adj)) + (mask,)

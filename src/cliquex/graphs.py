@@ -279,13 +279,19 @@ class Graph:
 # ── canonical form ────────────────────────────────────────────────
 
 
+def are_twins(adj: tuple[int, ...], a: int, b: int) -> bool:
+    """Do a and b have the same neighbours apart from each other? Then
+    swapping them is an automorphism. A vertex cannot have both a true
+    and a false twin, so twinhood is an equivalence relation."""
+    return adj[a] & ~(1 << b) == adj[b] & ~(1 << a)
+
+
 def _twin_skip(g: Graph, candidates: list[int]) -> list[int]:
     """Drop candidates interchangeable with an earlier one by a transposition."""
     kept: list[int] = []
     for c in candidates:
-        cb = 1 << c
         for k in kept:
-            if g.adj[c] & ~(1 << k) == g.adj[k] & ~cb:
+            if are_twins(g.adj, k, c):
                 break
         else:
             kept.append(c)

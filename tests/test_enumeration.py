@@ -23,6 +23,7 @@ from cliquex.enumeration import (
     _without_vertex,
     map_partitions,
 )
+from cliquex.graphs import are_twins
 from conftest import InlinePool
 from labeled_oracle import labeled_classes
 from polya_oracle import connected_counts, graph_counts
@@ -108,16 +109,92 @@ def test_degree_key_orders_every_short_sequence():
         assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
-def test_generation_tree_unchanged():
-    """The number of canonical searches and the unsorted yield order at
-    n = 7 pin the generation tree itself, which the sorted class digests
-    cannot see."""
+def _yield_order_sha256(graphs):
+    return hashlib.sha256("\n".join(to_graph6(g) for g in graphs).encode()).hexdigest()
+
+
+def test_generation_tree_unchanged(order_eight_classes):
+    """The number of canonical searches at n = 7 and the unsorted yield
+    order at n = 7 and n = 8 pin the generation tree itself, which the
+    sorted class digests cannot see."""
     canonical_form.cache_clear()
-    lines = [to_graph6(g) for g in connected_graphs(EnumerationTask(7))]
-    assert canonical_form.cache_info().misses == 2227
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+    graphs = list(connected_graphs(EnumerationTask(7)))
+    assert canonical_form.cache_info().misses == 1598
+    assert _yield_order_sha256(graphs) == (
         "03b80f7e2835dacdac9a772ee53dc2c75b2206cee2ea405b0f29ee41f99aed54"
     )
+    assert _yield_order_sha256(order_eight_classes) == (
+        "f72a468556fe8e24129d53cc77dbb10664d8709fa3f2edade18908ac9409334a"
+    )
+
+
+def reference_children(parent: Graph, n: int, m: int | None) -> list[Graph]:
+    """Every neighbour mask in ascending order within the edge budget,
+    the reference parent test, and the first child of each class."""
+    k, code = parent.n, canonical_form(parent)
+    kept, seen = [], set()
+    for mask in range(1, 1 << k):
+        size = parent.m + mask.bit_count()
+        # the n - k - 1 vertices still to come add at least one edge each,
+        # and at most every edge not yet among the first k + 1 vertices
+        if m is not None and not n - k - 1 <= m - size <= n * (n - 1) // 2 - k * (k + 1) // 2:
+            continue
+        child = parent.add_vertex(u for u in range(k) if (mask >> u) & 1)
+        if reference_is_canonical_child(child, code) and canonical_form(child) not in seen:
+            seen.add(canonical_form(child))
+            kept.append(child)
+    return kept
+
+
+@pytest.mark.parametrize("m", [None, 10, 15])
+def test_twin_pruning_loses_no_child(m):
+    """Trying one mask per twin orbit yields the same children, in the
+    same order, as trying every mask: for each node of order <= 6 of the
+    n = 7 tree, and of its edge-budgeted trees."""
+    level = [Graph(1, (0,))]
+    for _ in range(1, 7):
+        grown = []
+        for parent in level:
+            children = list(_children(parent, 7, m))
+            assert [c.adj for c in children] == [c.adj for c in reference_children(parent, 7, m)]
+            grown.extend(children)
+        level = grown
+    assert sorted(canonical_form(g) for g in level) == sorted(class_codes(7, m))
+
+
+def _transposition_fixes(g: Graph, a: int, b: int) -> bool:
+    perm = list(range(g.n))
+    perm[a], perm[b] = b, a
+    return g.relabel(perm) == g
+
+
+def _check_twins(g: Graph) -> None:
+    for a, b in itertools.combinations(range(g.n), 2):
+        assert are_twins(g.adj, a, b) == are_twins(g.adj, b, a) == _transposition_fixes(g, a, b)
+    # _children compares each vertex with the least member of a class only
+    for a, b, c in itertools.permutations(range(g.n), 3):
+        assert not (are_twins(g.adj, a, b) and are_twins(g.adj, b, c)) or are_twins(g.adj, a, c)
+
+
+def test_twins_are_exactly_the_transpositions_that_fix_the_graph():
+    """A pair passes as twins exactly when swapping it is an automorphism,
+    over every connected class of order <= 7."""
+    for n in range(1, 8):
+        for g in connected_graphs(EnumerationTask(n)):
+            _check_twins(g)
+
+
+@st.composite
+def graphs_up_to_nine(draw):
+    n = draw(st.integers(1, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    return Graph.from_edges(n, [e for e in pairs if draw(st.booleans())])
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_up_to_nine())
+def test_twins_match_fixing_transpositions_up_to_order_nine(g):
+    _check_twins(g)
 
 
 def test_polya_oracle_totals():
