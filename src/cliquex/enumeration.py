@@ -26,6 +26,9 @@ construction and skip ``Graph`` validation.
 
 ``argmax_fold`` is the one fold over an order's classes, and
 ``map_partitions`` runs slices on at most the CPU count of processes.
+It imports the process pool only when ``workers > 1``, so serial
+enumeration and every command that does not enumerate never load
+``multiprocessing``.
 The engine's oracles (labeled enumeration, Pólya counting and the
 parent test written out rule by rule) live in the test suite.
 """
@@ -33,8 +36,6 @@ parent test written out rule by rule) live in the test suite.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Hashable, Iterable, Iterator
 
@@ -46,23 +47,19 @@ MAX_EXHAUSTIVE_ORDER = 9
 _FRONTIER_CAP = 6  # serial prefix depth; deeper levels are split across workers
 
 
-@dataclass(frozen=True)
 class EnumerationTask:
     """One enumeration job; (worker_index, worker_count) picks a
     deterministic slice of the generation tree."""
 
-    n: int
-    m: int | None = None
-    worker_index: int = 0
-    worker_count: int = 1
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_EXHAUSTIVE_ORDER:
+    def __init__(self, n: int, m: int | None = None, worker_index: int = 0,
+                 worker_count: int = 1) -> None:
+        if not 1 <= n <= MAX_EXHAUSTIVE_ORDER:
             raise ValueError(f"exhaustive enumeration supports 1 <= n <= {MAX_EXHAUSTIVE_ORDER}")
-        if self.m is not None and not feasible_size(self.m, self.n):
-            raise ValueError(f"no connected graph has n={self.n}, m={self.m}")
-        if not 0 <= self.worker_index < self.worker_count:
+        if m is not None and not feasible_size(m, n):
+            raise ValueError(f"no connected graph has n={n}, m={m}")
+        if not 0 <= worker_index < worker_count:
             raise ValueError("worker index outside 0..worker_count-1")
+        self.n, self.m, self.worker_index, self.worker_count = n, m, worker_index, worker_count
 
 
 def _degree_key(degrees: Iterable[int]) -> int:
@@ -203,6 +200,8 @@ def map_partitions(fn: Callable[[EnumerationTask], Any], n: int, m: int | None =
     tasks = [EnumerationTask(n, m, worker_index=w, worker_count=workers) for w in range(workers)]
     if workers == 1:
         return [fn(tasks[0])]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing, so not at import
+
     with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         return list(pool.map(fn, tasks))
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -75,12 +74,17 @@ def _check_order(n: int) -> None:
         raise ValueError(f"order {n} outside [0, {MAX_VERTICES}]")
 
 
-@dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1; ``adj[u]`` is a bitmask."""
 
+    __slots__ = ("n", "adj")
     n: int
     adj: tuple[int, ...]
+
+    def __init__(self, n: int, adj: tuple[int, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n, adj = self.n, self.adj
@@ -97,6 +101,26 @@ class Graph:
             for v in _bits(row):
                 if not (adj[v] >> u) & 1:
                     raise ValueError(f"asymmetric edge {u}-{v}")
+
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.adj == other.adj
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.adj))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, adj={self.adj!r})"
+
+    def __reduce__(self) -> tuple:
+        # the rows came from a valid graph; unpickling cannot assign slots
+        return Graph._trusted, (self.n, self.adj)
 
     # ── construction ──────────────────────────────────────────────
 

@@ -9,24 +9,21 @@ order are detected exactly, at any order and any power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .extremal import choose, kernel
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class MomentVector:
+class MomentVector(NamedTuple):
     """Closed-walk counts (S_0, ..., S_j) of one graph."""
 
     n: int
     s: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SOrderResult:
+class SOrderResult(NamedTuple):
     relation: Literal["before", "after", "equal"]
     first_differing_index: int | None
 

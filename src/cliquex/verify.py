@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
 from functools import partial
 
 from .cliques import clique_counts_upto, count_s_cliques, deletion_identity_check
@@ -41,12 +40,13 @@ from .spectral import (
 WITNESS_CAP = 8  # matched cells keep a deterministic sample; mismatches keep all
 
 
-@dataclass
 class VerificationReport:
-    theorem_id: str
-    grid: list[dict] = field(default_factory=list)
-    seed: int = 0
-    elapsed_ms: int = 0
+    def __init__(self, theorem_id: str, grid: list[dict] | None = None, seed: int = 0,
+                 elapsed_ms: int = 0) -> None:
+        self.theorem_id = theorem_id
+        self.grid = [] if grid is None else grid
+        self.seed = seed
+        self.elapsed_ms = elapsed_ms
 
     @property
     def mismatches(self) -> list[dict]:

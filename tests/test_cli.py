@@ -1,14 +1,18 @@
 import io
 import json
+import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cliquex import EnumerationTask, Graph, connected_graphs, from_graph6, to_graph6
 from cliquex.cli import run
 from conftest import MALFORMED_EDGE_LISTS
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def invoke(capsys, *argv):
@@ -279,13 +283,25 @@ def test_console_entry_point():
     assert proc.returncode == 0 and proc.stdout.strip() == "5"
 
 
-def test_cli_import_leaves_numpy_out():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, cliquex.cli; print('numpy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+# Packages a short command never uses and that each cost milliseconds to
+# import; the process pool is loaded only by map_partitions with workers > 1.
+UNUSED_AT_START = ("numpy", "concurrent.futures", "multiprocessing", "dataclasses", "inspect")
+# Submodules the benchmark's tracer reads from sys.modules after importing cliquex.cli.
+TRACED_MODULES = ("graphs", "cliques", "extremal", "spectral", "enumeration", "verify", "cli")
+
+
+def test_cli_import_loads_only_what_commands_run():
+    script = ("import json, sys; before = set(sys.modules); import cliquex.cli; "
+              "print(json.dumps([sorted(set(sys.modules) - before), sorted(sys.modules)]))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=ROOT, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    new, loaded = json.loads(proc.stdout)
+    unused = [name for name in new for pkg in UNUSED_AT_START
+              if name == pkg or name.startswith(pkg + ".")]
+    assert unused == []
+    assert {f"cliquex.{name}" for name in TRACED_MODULES} <= set(loaded)
 
 
 def test_stdin_stream(capsys, monkeypatch, tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -279,6 +280,8 @@ def _slice_codes(task):
 
 
 def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
+    import concurrent.futures
+
     import cliquex.enumeration as enumeration
 
     asked = []
@@ -287,13 +290,29 @@ def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
         def __init__(self, max_workers):
             asked.append(max_workers)
 
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     parts = map_partitions(_slice_codes, 5, workers=64)
     assert asked == [2]
     assert [w for w, _ in parts] == list(range(64))
     assert set().union(*(codes for _, codes in parts)) == class_codes(5)
     assert sum(len(codes) for _, codes in parts) == CONNECTED_TOTALS[5]
+
+
+def test_tasks_pickle_for_the_worker_pool():
+    tasks = (EnumerationTask(7), EnumerationTask(7, 10, 1, 3),
+             EnumerationTask(7, m=10, worker_index=1, worker_count=3))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        for task in tasks:
+            back = pickle.loads(pickle.dumps(task, protocol))
+            assert type(back) is EnumerationTask
+            assert vars(back) == vars(task)
+    assert vars(tasks[1]) == vars(tasks[2]) == {"n": 7, "m": 10, "worker_index": 1,
+                                                "worker_count": 3}
+    assert (tasks[0].m, tasks[0].worker_index, tasks[0].worker_count) == (None, 0, 1)
+    unpickled = [pickle.loads(pickle.dumps(EnumerationTask(7, 10, w, 3))) for w in range(3)]
+    codes = [canonical_form(g) for task in unpickled for g in connected_graphs(task)]
+    assert sorted(codes) == sorted(class_codes(7, 10))
 
 
 def test_worker_partition_per_cell():

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import tracemalloc
 
 import networkx as nx
@@ -40,6 +41,40 @@ def _nx(g):
 
 
 # ── value semantics ───────────────────────────────────────────────
+
+
+def test_graph_is_a_frozen_value():
+    g, h = Graph(2, (2, 1)), Graph.from_edges(2, [(0, 1)])
+    assert g == h and g is not h and hash(g) == hash(h) == hash((2, (2, 1)))
+    assert g != (2, (2, 1)) and g != Graph.empty(2)
+    # equality is on the pair (n, adj); only unvalidated rows can tell n apart
+    assert Graph._trusted(3, (0, 0)) != Graph._trusted(2, (0, 0))
+    assert len({g, h, Graph.path(2), Graph.empty(2)}) == 2
+    assert repr(g) == "Graph(n=2, adj=(2, 1))"
+    with pytest.raises(AttributeError):
+        g.n = 3
+    with pytest.raises(AttributeError):
+        g.adj = (0, 0)
+    with pytest.raises(AttributeError):
+        del g.adj
+    assert g == Graph(2, (2, 1))
+    trusted = canonical_graph(Graph.cycle(5))  # decoded without validation
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        for value in (g, trusted, Graph(0, ())):
+            back = pickle.loads(pickle.dumps(value, protocol))
+            assert type(back) is Graph and back == value and hash(back) == hash(value)
+            with pytest.raises(AttributeError):
+                back.n = 0
+
+
+def test_constructor_validates_through_post_init(monkeypatch):
+    # the benchmark's tracer counts Graph.__post_init__ as one validated graph
+    calls = []
+    original = Graph.__post_init__
+    monkeypatch.setattr(Graph, "__post_init__", lambda g: calls.append(g.n) or original(g))
+    Graph.cycle(4)
+    Graph._trusted(2, (2, 1))
+    assert calls == [4]
 
 
 def test_rejects_asymmetric_adjacency():

@@ -3,6 +3,7 @@ import pytest
 from cliquex import (
     Graph,
     MomentVector,
+    SOrderResult,
     canonical_form,
     construct_b1,
     construct_b2,
@@ -105,6 +106,16 @@ def test_s_order_examples():
     assert s_order_compare(paw, paw).relation == "equal"
     res = s_order_compare(construct_b2(11, 8), construct_b1(11, 8))
     assert res.relation == "before" and res.first_differing_index == 4
+
+
+def test_result_values_name_their_fields():
+    mv = spectral_moments(Graph.cycle(4), 2)
+    assert (mv.n, mv.s) == (4, (4, 0, 8)) and mv == MomentVector(n=4, s=(4, 0, 8))
+    res = s_order_compare(Graph.cycle(4), Graph.path(4))
+    assert (res.relation, res.first_differing_index) == ("after", 2) == tuple(res)
+    assert res == SOrderResult(relation="after", first_differing_index=2)
+    with pytest.raises(AttributeError):
+        res.relation = "before"
 
 
 def test_s_order_rejects_order_mismatch():

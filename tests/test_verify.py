@@ -2,6 +2,7 @@ import json
 
 from cliquex import (
     Graph,
+    VerificationReport,
     count_s_cliques,
     decompose_connected,
     from_graph6,
@@ -162,6 +163,8 @@ def test_reports_invariant_under_worker_count():
 
 
 def test_each_harness_enumerates_each_order_once_per_slice(monkeypatch):
+    import concurrent.futures
+
     import cliquex.enumeration as enumeration
     import cliquex.verify as verify
 
@@ -174,7 +177,7 @@ def test_each_harness_enumerates_each_order_once_per_slice(monkeypatch):
 
     monkeypatch.setattr(enumeration, "connected_graphs", counted)
     monkeypatch.setattr(verify, "connected_graphs", counted)
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     for workers in (1, 2):
         for run, orders in (
             (lambda: verify_max_cliques(5, {3, 4}, workers), range(3, 6)),
@@ -200,3 +203,7 @@ def test_report_json_shape():
         assert cell["status"] in ("match", "mismatch")
     rows = [(c["n"], c["m"], c["s"]) for c in payload["grid"]]
     assert rows == sorted(rows)
+    # each report starts with its own empty grid
+    fresh, other = VerificationReport("max-cliques"), VerificationReport("max-cliques")
+    fresh.grid.append({})
+    assert other.grid == [] and (other.seed, other.elapsed_ms) == (0, 0)
