@@ -241,7 +241,7 @@ def run(argv: list[str]) -> int:
             return _cmd_construct(args)
 
         if args.command == "enumerate":
-            parts = map_partitions(_graph6_lines, args.n, args.m, args.workers)
+            parts = map_partitions(_graph6_lines, [args.n], args.m, args.workers)[args.n]
             for line in sorted(chain.from_iterable(parts)):
                 print(line)
             return EXIT_OK

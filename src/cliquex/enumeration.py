@@ -6,8 +6,8 @@ attaching a new vertex is kept only when the parent it came from is
 the child's *canonical* parent: the non-cutvertex deletion minimizing
 (degree sequence, canonical form). Each isomorphism class therefore
 has exactly one production path, so disjoint subtrees emit disjoint
-classes and workers can split the tree with no shared state (McKay,
-"Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+classes and each subtree can be its own task with no shared state
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
 
 The parent test works on the child's adjacency rows, built from the
 parent's rows and a neighbour mask. Degree sequences compare as
@@ -24,11 +24,12 @@ since deleting it gives the parent again.
 Children and tied deletions of a valid parent are valid by
 construction and skip ``Graph`` validation.
 
-``argmax_fold`` is the one fold over an order's classes, and
-``map_partitions`` runs slices on at most the CPU count of processes.
-It imports the process pool only when ``workers > 1``, so serial
-enumeration and every command that does not enumerate never load
-``multiprocessing``.
+``argmax_fold`` is the one fold over the classes of each order.
+``map_partitions`` runs one pass per order in process or, for
+``workers > 1``, one task per frontier root of every order on one
+pool of at most the CPU count of processes, dealt out one task at a
+time. It imports the pool only then, so serial enumeration and every
+command that does not enumerate never load ``multiprocessing``.
 The engine's oracles (labeled enumeration, Pólya counting and the
 parent test written out rule by rule) live in the test suite.
 """
@@ -44,22 +45,23 @@ from .graphs import CanonicalForm, Graph, are_twins, canonical_form, canonical_g
 
 MAX_EXHAUSTIVE_ORDER = 9
 
-_FRONTIER_CAP = 6  # serial prefix depth; deeper levels are split across workers
+_FRONTIER_CAP = 6  # order of the frontier roots, the unit of parallel work
 
 
 class EnumerationTask:
-    """One enumeration job; (worker_index, worker_count) picks a
-    deterministic slice of the generation tree."""
+    """One enumeration job: the classes grown from ``roots``, frontier
+    roots of the (n, m) generation tree, or the whole tree when
+    ``roots`` is None."""
 
-    def __init__(self, n: int, m: int | None = None, worker_index: int = 0,
-                 worker_count: int = 1) -> None:
+    def __init__(self, n: int, m: int | None = None,
+                 roots: tuple[Graph, ...] | None = None) -> None:
         if not 1 <= n <= MAX_EXHAUSTIVE_ORDER:
             raise ValueError(f"exhaustive enumeration supports 1 <= n <= {MAX_EXHAUSTIVE_ORDER}")
         if m is not None and not feasible_size(m, n):
             raise ValueError(f"no connected graph has n={n}, m={m}")
-        if not 0 <= worker_index < worker_count:
-            raise ValueError("worker index outside 0..worker_count-1")
-        self.n, self.m, self.worker_index, self.worker_count = n, m, worker_index, worker_count
+        if any(root.n != _frontier_order(n) for root in roots or ()):
+            raise ValueError(f"frontier roots of order {n} have {_frontier_order(n)} vertices")
+        self.n, self.m, self.roots = n, m, roots
 
 
 def _degree_key(degrees: Iterable[int]) -> int:
@@ -170,17 +172,23 @@ def _children(parent: Graph, n: int, m: int | None) -> Iterator[Graph]:
         yield child
 
 
+def _frontier_order(n: int) -> int:
+    return max(1, min(_FRONTIER_CAP, n - 1))
+
+
+def _frontier(n: int, m: int | None) -> list[Graph]:
+    """The roots of the (n, m) generation tree's subtrees, in canonical order."""
+    frontier = [Graph(1, (0,))]
+    for _ in range(1, _frontier_order(n)):
+        frontier = [child for parent in frontier for child in _children(parent, n, m)]
+    return sorted(frontier, key=canonical_form)
+
+
 def connected_graphs(task: EnumerationTask) -> Iterator[Graph]:
     """Exactly one canonical representative per isomorphism class of
     connected graphs with the requested order (and size, if given)."""
     n, m = task.n, task.m
-    frontier = [Graph(1, (0,))]
-    for _ in range(1, min(_FRONTIER_CAP, n - 1)):
-        frontier = [child for parent in frontier for child in _children(parent, n, m)]
-    frontier.sort(key=canonical_form)
-    for idx, root in enumerate(frontier):
-        if idx % task.worker_count != task.worker_index:
-            continue
+    for root in _frontier(n, m) if task.roots is None else task.roots:
         stack = [root]
         while stack:
             g = stack.pop()
@@ -191,19 +199,26 @@ def connected_graphs(task: EnumerationTask) -> Iterator[Graph]:
             stack.extend(_children(g, n, m))
 
 
-def map_partitions(fn: Callable[[EnumerationTask], Any], n: int, m: int | None = None,
-                   workers: int = 1) -> list:
-    """``fn`` applied to each of the ``workers`` slices of the (n, m)
-    generation tree, in slice order: in process when ``workers == 1``,
-    otherwise on at most the CPU count of processes (``fn`` must then
-    be picklable)."""
-    tasks = [EnumerationTask(n, m, worker_index=w, worker_count=workers) for w in range(workers)]
+def map_partitions(fn: Callable[[EnumerationTask], Any], orders: Iterable[int],
+                   m: int | None = None, workers: int = 1) -> dict[int, list]:
+    """{n: ``fn`` applied to each task of order n, in task order}. With
+    ``workers == 1`` each order is one task, run in process. Otherwise
+    each frontier root of each order is a task, and every task goes to
+    one pool of at most the CPU count of processes (``fn`` must then be
+    picklable); the tasks do not depend on ``workers``."""
+    whole = [EnumerationTask(n, m) for n in orders]
     if workers == 1:
-        return [fn(tasks[0])]
-    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing, so not at import
+        return {task.n: [fn(task)] for task in whole}
+    tasks = [EnumerationTask(t.n, m, (root,)) for t in whole for root in _frontier(t.n, m)]
+    from multiprocessing import Pool  # not at import: serial runs never load it
 
-    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-        return list(pool.map(fn, tasks))
+    out: dict[int, list] = {task.n: [] for task in whole}
+    # The default start method forks on Linux, which is safe here: no thread
+    # runs yet, and the workers start with the frontier's canonical forms cached.
+    with Pool(min(workers, os.cpu_count() or 1)) as pool:
+        for task, result in zip(tasks, pool.imap(fn, tasks, chunksize=1)):
+            out[task.n].append(result)
+    return out
 
 
 def _keep_max(best: dict, cell: Hashable, value, graphs: list[Graph]) -> None:
@@ -223,18 +238,20 @@ def _fold_task(cells: Callable[[Graph], Iterable[tuple[Hashable, Any]]],
     return best
 
 
-def argmax_fold(n: int, cells: Callable[[Graph], Iterable[tuple[Hashable, Any]]],
-                workers: int = 1) -> dict:
-    """{cell: (maximum value, every graph attaining it)} over all
-    connected graphs of order n, where ``cells(g)`` yields the
+def argmax_fold(orders: Iterable[int], cells: Callable[[Graph], Iterable[tuple[Hashable, Any]]],
+                workers: int = 1) -> dict[int, dict]:
+    """{n: {cell: (maximum value, every graph attaining it)}} over all
+    connected graphs of each order n, where ``cells(g)`` yields the
     (cell, value) pairs of one graph.
 
-    One enumeration pass per slice; slices merge by the same rule, so
-    the maxima and the attaining sets do not depend on ``workers``
-    (the order of graphs within a set does).
+    Tasks merge in task order by the same rule, so the maxima and the
+    attaining lists, in the serial yield order, do not depend on
+    ``workers``.
     """
-    best: dict = {}
-    for part in map_partitions(partial(_fold_task, cells), n, workers=workers):
-        for cell, (value, graphs) in part.items():
-            _keep_max(best, cell, value, graphs)
-    return best
+    folded = {}
+    for n, parts in map_partitions(partial(_fold_task, cells), orders, workers=workers).items():
+        best = folded[n] = {}
+        for part in parts:
+            for cell, (value, graphs) in part.items():
+                _keep_max(best, cell, value, graphs)
+    return folded

@@ -122,11 +122,11 @@ def verify_max_cliques(
     report = VerificationReport("max-cliques", seed=seed)
     svals = _clique_orders(s_values)
     _check_n_max(n_max, 3)
-    for n in range(3, n_max + 1):
-        folded = argmax_fold(n, partial(_clique_cells, tuple(svals)), workers)
+    folded = argmax_fold(range(3, n_max + 1), partial(_clique_cells, tuple(svals)), workers)
+    for n, cells in folded.items():
         for m in range(n - 1, n * (n - 1) // 2 + 1):
             for s in svals:
-                observed, attain = folded[(m, s)]
+                observed, attain = cells[(m, s)]
                 predicted = max_cliques_bound(m, n, s)
                 status = "match" if observed == predicted else "mismatch"
                 report.grid.append(
@@ -173,14 +173,14 @@ def verify_extremal_kernels(
     report = VerificationReport("extremal-kernels", seed=seed)
     svals = _clique_orders(s_values)
     _check_n_max(n_max, svals[0])  # n < s leaves no room for the excess the kernel needs
-    for n in range(3, n_max + 1):
-        folded = argmax_fold(n, partial(_clique_cells, tuple(svals)), workers)
+    folded = argmax_fold(range(3, n_max + 1), partial(_clique_cells, tuple(svals)), workers)
+    for n, cells in folded.items():
         for m in range(n - 1, n * (n - 1) // 2 + 1):
             r, t = decompose_connected(m, n)
             for s in svals:
                 if m - n < choose(s, 2) - s:
                     continue
-                _, extremal = folded[(m, s)]
+                _, extremal = cells[(m, s)]
                 allowed = _allowed_kernel_codes(n, r, t, s)
                 bad = [
                     g for g in extremal if canonical_form(kernel(g, s - 2)) not in allowed
@@ -214,10 +214,9 @@ def verify_s_order_last(n_max: int, workers: int = 1, seed: int = 0) -> Verifica
     start = time.perf_counter()
     report = VerificationReport("s-order-last", seed=seed)
     _check_n_max(n_max, 4)
-    for n in range(4, n_max + 1):
-        folded = argmax_fold(n, _moment_cells, workers)
+    for n, cells in argmax_fold(range(4, n_max + 1), _moment_cells, workers).items():
         for m in range(n, n * (n - 1) // 2 + 1):
-            key, gallery = folded[m]
+            key, gallery = cells[m]
             classes = sorted({canonical_form(g) for g in gallery})
             star = construct_extremal_star(m, n)
             unique = len(classes) == 1 and classes[0] == canonical_form(star)

@@ -40,18 +40,29 @@ def order_eight_classes() -> list[Graph]:
     return list(connected_graphs(EnumerationTask(8)))
 
 
-class InlinePool:
-    """Stands in for the process pool so that slices run, and are
-    counted, in this process."""
+@pytest.fixture
+def pool_log(monkeypatch) -> list[tuple]:
+    """Replaces the process pool with one that runs the tasks, so that
+    they are counted, in this process. Logs ("pool", processes) for each
+    pool made and ("imap", chunksize, [(n, m, roots) of each task]) for
+    each dispatch."""
+    import multiprocessing
 
-    def __init__(self, max_workers):
-        pass
+    log: list[tuple] = []
 
-    def __enter__(self):
-        return self
+    class InlinePool:
+        def __init__(self, processes):
+            log.append(("pool", processes))
 
-    def __exit__(self, *exc):
-        return False
+        def __enter__(self):
+            return self
 
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize=1):
+            log.append(("imap", chunksize, [(t.n, t.m, t.roots) for t in tasks]))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    return log

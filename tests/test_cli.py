@@ -10,6 +10,7 @@ import pytest
 
 from cliquex import EnumerationTask, Graph, connected_graphs, from_graph6, to_graph6
 from cliquex.cli import run
+from cliquex.enumeration import _frontier
 from conftest import MALFORMED_EDGE_LISTS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -223,8 +224,9 @@ def test_enumerate_sorted_deterministic(capsys):
 
 
 def test_enumerate_workers_split_the_tree(capsys):
-    # (6, 8) grows from several frontier roots, so a second slice is nonempty
-    assert list(connected_graphs(EnumerationTask(6, 8, worker_index=1, worker_count=2)))
+    # (6, 8) grows from several frontier roots, and more than one task is nonempty
+    tasks = [EnumerationTask(6, 8, (root,)) for root in _frontier(6, 8)]
+    assert sum(bool(list(connected_graphs(task))) for task in tasks) > 1
     serial = invoke(capsys, "enumerate", "--n", "6", "--m", "8", "--workers", "1")
     assert serial[0] == 0 and len(serial[1].split()) == 22
     assert invoke(capsys, "enumerate", "--n", "6", "--m", "8", "--workers", "2") == serial
@@ -238,7 +240,7 @@ def test_enumerate_count_pipeline_consistency(capsys, monkeypatch):
 
     from cliquex import argmax_fold, count_s_cliques
 
-    value, _ = argmax_fold(4, lambda g: ((g.m, count_s_cliques(g, 3)),))[5]
+    value, _ = argmax_fold([4], lambda g: ((g.m, count_s_cliques(g, 3)),))[4][5]
     assert max(int(tok) for tok in counted.split()) == value
 
 

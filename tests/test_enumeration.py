@@ -20,12 +20,12 @@ from cliquex import (
 from cliquex.enumeration import (
     _children,
     _degree_key,
+    _frontier,
     _is_canonical_child,
     _without_vertex,
     map_partitions,
 )
 from cliquex.graphs import are_twins
-from conftest import InlinePool
 from labeled_oracle import labeled_classes
 from polya_oracle import connected_counts, graph_counts
 
@@ -210,9 +210,8 @@ def test_polya_oracle_totals():
     assert counts[9, 8] == 47  # trees on nine vertices
 
 
-def class_codes(n, m=None, worker_index=0, worker_count=1):
-    task = EnumerationTask(n, m, worker_index=worker_index, worker_count=worker_count)
-    return {canonical_form(g) for g in connected_graphs(task)}
+def class_codes(n, m=None, roots=None):
+    return {canonical_form(g) for g in connected_graphs(EnumerationTask(n, m, roots))}
 
 
 def test_totals_per_order():
@@ -256,61 +255,73 @@ def test_task_validation():
         EnumerationTask(5, 11)
     with pytest.raises(ValueError):
         EnumerationTask(5, 3)
-    with pytest.raises(ValueError):
-        EnumerationTask(5, 6, worker_index=2, worker_count=2)
+    with pytest.raises(ValueError):  # order-5 roots have four vertices
+        EnumerationTask(5, 6, roots=(Graph(1, (0,)),))
+
+
+def _splits(frontier):
+    """One task per root, and the roots dealt round-robin into 1, 2, 4
+    and 8 tasks: every split of the frontier is a partition."""
+    yield [(root,) for root in frontier]
+    for k in (1, 2, 4, 8):
+        yield [tuple(frontier[w::k]) for w in range(k)]
 
 
 def test_worker_partition_is_a_partition():
     for n in (1, 6):
         full = class_codes(n)
-        for worker_count in (1, 2, 4, 8):
-            parts = [
-                class_codes(n, worker_index=w, worker_count=worker_count)
-                for w in range(worker_count)
-            ]
+        for split in _splits(_frontier(n, None)):
+            parts = [class_codes(n, roots=roots) for roots in split]
             assert set().union(*parts) == full
             assert sum(len(p) for p in parts) == len(full)
-    # K1 is its own single frontier root, so only worker 0 yields it
-    assert class_codes(1, worker_index=1, worker_count=2) == set()
+    # K1 is its own single frontier root, so a second task of K1 has no roots
+    assert _frontier(1, None) == [Graph(1, (0,))]
+    assert class_codes(1, roots=()) == set()
     assert class_codes(1) == {canonical_form(Graph(1, (0,)))}
 
 
-def _slice_codes(task):
-    return task.worker_index, class_codes(task.n, task.m, task.worker_index, task.worker_count)
+def _roots(task):
+    return task.roots
 
 
-def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
-    import concurrent.futures
+def _task_codes(task):
+    return task.roots, class_codes(task.n, task.m, task.roots)
 
+
+def test_pool_size_is_capped_at_the_cpu_count(monkeypatch, pool_log):
     import cliquex.enumeration as enumeration
 
-    asked = []
-
-    class RecordingPool(InlinePool):
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    parts = map_partitions(_slice_codes, 5, workers=64)
-    assert asked == [2]
-    assert [w for w, _ in parts] == list(range(64))
+    parts = map_partitions(_task_codes, [5], workers=64)[5]
+    # one pool, capped at the CPU count, dealt the tasks one at a time
+    assert [entry[:2] for entry in pool_log] == [("pool", 2), ("imap", 1)]
+    assert [roots for roots, _ in parts] == [(root,) for root in _frontier(5, None)]
     assert set().union(*(codes for _, codes in parts)) == class_codes(5)
     assert sum(len(codes) for _, codes in parts) == CONNECTED_TOTALS[5]
 
 
+def test_task_list_does_not_depend_on_workers(pool_log):
+    for workers in (2, 64):
+        map_partitions(_roots, [8], workers=workers)
+    (_, _, few), (_, _, many) = (entry for entry in pool_log if entry[0] == "imap")
+    assert few == many == [(8, None, (root,)) for root in _frontier(8, None)]
+    assert len(few) == 112
+
+
 def test_tasks_pickle_for_the_worker_pool():
-    tasks = (EnumerationTask(7), EnumerationTask(7, 10, 1, 3),
-             EnumerationTask(7, m=10, worker_index=1, worker_count=3))
+    roots = tuple(_frontier(7, 10)[1::3])
+    tasks = (EnumerationTask(7), EnumerationTask(7, 10, roots),
+             EnumerationTask(7, m=10, roots=roots))
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         for task in tasks:
             back = pickle.loads(pickle.dumps(task, protocol))
             assert type(back) is EnumerationTask
             assert vars(back) == vars(task)
-    assert vars(tasks[1]) == vars(tasks[2]) == {"n": 7, "m": 10, "worker_index": 1,
-                                                "worker_count": 3}
-    assert (tasks[0].m, tasks[0].worker_index, tasks[0].worker_count) == (None, 0, 1)
-    unpickled = [pickle.loads(pickle.dumps(EnumerationTask(7, 10, w, 3))) for w in range(3)]
+    assert vars(tasks[1]) == vars(tasks[2]) == {"n": 7, "m": 10, "roots": roots}
+    assert (tasks[0].m, tasks[0].roots) == (None, None)
+    frontier = _frontier(7, 10)
+    unpickled = [pickle.loads(pickle.dumps(EnumerationTask(7, 10, tuple(frontier[w::3]))))
+                 for w in range(3)]
     codes = [canonical_form(g) for task in unpickled for g in connected_graphs(task)]
     assert sorted(codes) == sorted(class_codes(7, 10))
 
@@ -318,11 +329,11 @@ def test_tasks_pickle_for_the_worker_pool():
 def test_worker_partition_per_cell():
     for m in (9, 12, 15):
         full = class_codes(7, m)
-        for worker_count in (2, 4, 8):
+        for split in _splits(_frontier(7, m)):
             union = set()
             total = 0
-            for w in range(worker_count):
-                part = class_codes(7, m, worker_index=w, worker_count=worker_count)
+            for roots in split:
+                part = class_codes(7, m, roots=roots)
                 union |= part
                 total += len(part)
             assert union == full and total == len(full)
@@ -368,15 +379,17 @@ def _triangle_cells(g):
 
 
 def test_argmax_fold_examples():
-    value, witnesses = argmax_fold(7, _triangle_cells)[10]
+    folded = argmax_fold(range(5, 8), _triangle_cells)
+    assert list(folded) == [5, 6, 7]
+    value, witnesses = folded[7][10]
     assert value == 5
     codes = {canonical_form(g) for g in witnesses}
     assert canonical_form(construct_extremal_star(10, 7)) in codes
 
-    value, witnesses = argmax_fold(5, _triangle_cells)[10]
+    value, witnesses = folded[5][10]
     assert value == 10 and len(witnesses) == 1
 
-    value, witnesses = argmax_fold(6, _triangle_cells)[5]
+    value, witnesses = folded[6][5]
     assert value == 0
     assert len(witnesses) == 6  # every tree on six vertices attains zero
 
@@ -386,6 +399,14 @@ def test_argmax_fold_partition_invariance():
     best = max(count_s_cliques(g, 3) for g in graphs)
     base_codes = sorted(canonical_form(g) for g in graphs if count_s_cliques(g, 3) == best)
     for workers in (1, 2, 4):
-        value, witnesses = argmax_fold(6, _triangle_cells, workers)[8]
+        value, witnesses = argmax_fold([6], _triangle_cells, workers)[6][8]
         assert value == best
         assert sorted(canonical_form(g) for g in witnesses) == base_codes
+
+
+def test_argmax_fold_order_invariance():
+    # tasks merge in root order, so even the order within each attaining
+    # list is the serial yield order
+    serial = argmax_fold([7], _triangle_cells)
+    assert argmax_fold([7], _triangle_cells, 2) == serial
+    assert argmax_fold([7], _triangle_cells, 3) == serial

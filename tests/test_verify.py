@@ -12,7 +12,6 @@ from cliquex import (
     verify_max_cliques,
     verify_s_order_last,
 )
-from conftest import InlinePool as _InlinePool
 
 SCHEMA_KEYS = {"n", "m", "s", "predicted", "observed", "status", "witnesses", "ties"}
 
@@ -151,20 +150,17 @@ def test_reports_are_deterministic():
 
 
 def test_reports_invariant_under_worker_count():
-    a = verify_max_cliques(6, {3}, workers=1).to_json(timing=False)
-    b = verify_max_cliques(6, {3}, workers=2).to_json(timing=False)
-    assert a == b
-    a = verify_s_order_last(6, workers=1).to_json(timing=False)
-    b = verify_s_order_last(6, workers=3).to_json(timing=False)
-    assert a == b
-    a = verify_extremal_kernels(6, {3, 4}, workers=1).to_json(timing=False)
-    b = verify_extremal_kernels(6, {3, 4}, workers=2).to_json(timing=False)
-    assert a == b
+    for run in (
+        lambda workers: verify_max_cliques(6, {3}, workers=workers),
+        lambda workers: verify_s_order_last(6, workers=workers),
+        lambda workers: verify_extremal_kernels(6, {3, 4}, workers=workers),
+    ):
+        serial = run(1).to_json(timing=False)
+        assert run(2).to_json(timing=False) == serial
+        assert run(3).to_json(timing=False) == serial
 
 
-def test_each_harness_enumerates_each_order_once_per_slice(monkeypatch):
-    import concurrent.futures
-
+def test_each_harness_enumerates_each_order_once_per_slice(monkeypatch, pool_log):
     import cliquex.enumeration as enumeration
     import cliquex.verify as verify
 
@@ -172,12 +168,11 @@ def test_each_harness_enumerates_each_order_once_per_slice(monkeypatch):
     calls = []
 
     def counted(task):
-        calls.append((task.n, task.m, task.worker_index, task.worker_count))
+        calls.append((task.n, task.m, task.roots))
         return original(task)
 
     monkeypatch.setattr(enumeration, "connected_graphs", counted)
     monkeypatch.setattr(verify, "connected_graphs", counted)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     for workers in (1, 2):
         for run, orders in (
             (lambda: verify_max_cliques(5, {3, 4}, workers), range(3, 6)),
@@ -185,11 +180,19 @@ def test_each_harness_enumerates_each_order_once_per_slice(monkeypatch):
             (lambda: verify_s_order_last(5, workers), range(4, 6)),
         ):
             calls.clear()
+            pool_log.clear()
             assert not run().mismatches
-            assert sorted(calls) == [(n, None, w, workers) for n in orders for w in range(workers)]
+            pools = [entry for entry in pool_log if entry[0] == "pool"]
+            if workers == 1:  # one whole-tree pass per order, in process
+                assert calls == [(n, None, None) for n in orders]
+                assert pools == []
+            else:  # each frontier root of each order once, on one pool
+                assert calls == [(n, None, (root,)) for n in orders
+                                 for root in enumeration._frontier(n, None)]
+                assert len(pools) == 1
     calls.clear()
     assert not verify_lemma_suite(seed=0, iterations=20, n_max=5).mismatches
-    assert sorted(calls) == [(n, None, 0, 1) for n in range(2, 6)]
+    assert calls == [(n, None, None) for n in range(2, 6)]
 
 
 def test_report_json_shape():
