@@ -69,6 +69,8 @@ def _report_path(text: str) -> Path:
     path = Path(text)
     if not path.parent.is_dir():
         raise argparse.ArgumentTypeError(f"no directory {str(path.parent)!r} for the report")
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"report path {text!r} is a directory")
     return path
 
 

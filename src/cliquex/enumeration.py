@@ -13,9 +13,9 @@ The parent test works on the child's adjacency rows, built from the
 parent's rows and a neighbour mask. Degree sequences compare as
 integer keys, and a deletion's key follows from the child's by
 arithmetic. Most children lose on that key alone, so the cut test
-(one bitmask reachability pass) runs only for a deletion whose
-sequence is no larger than the parent's, and a canonical search only
-for a non-cut deletion that ties it.
+(``graphs._is_cut_vertex``, one reachability pass) runs only for a
+deletion whose sequence is no larger than the parent's, and a
+canonical search only for a non-cut deletion that ties it.
 Twins (vertices with the same neighbours apart from each other) are
 used twice. Swapping two twins of the parent is an automorphism, so
 only the least neighbour mask of each twin orbit is tried. A tied
@@ -41,7 +41,15 @@ from functools import partial
 from typing import Any, Callable, Hashable, Iterable, Iterator
 
 from .extremal import feasible_size
-from .graphs import CanonicalForm, Graph, are_twins, canonical_form, canonical_graph
+from .graphs import (
+    CanonicalForm,
+    Graph,
+    _is_cut_vertex,
+    _without_vertex,
+    are_twins,
+    canonical_form,
+    canonical_graph,
+)
 
 MAX_EXHAUSTIVE_ORDER = 9
 
@@ -109,28 +117,6 @@ def _is_canonical_child(rows: tuple[int, ...], parent_key: int,
         or canonical_form(_without_vertex(rows, u)) >= parent_code
         for u in tied
     )
-
-
-def _is_cut_vertex(rows: tuple[int, ...], u: int) -> bool:
-    """Does deleting u disconnect the connected graph with these rows?"""
-    keep = ((1 << len(rows)) - 1) ^ (1 << u)
-    reached = frontier = keep & -keep
-    while frontier:
-        grown = 0
-        while frontier:
-            bit = frontier & -frontier
-            frontier ^= bit
-            grown |= rows[bit.bit_length() - 1]
-        frontier = grown & keep & ~reached
-        reached |= frontier
-    return reached != keep
-
-
-def _without_vertex(rows: tuple[int, ...], u: int) -> Graph:
-    low = (1 << u) - 1
-    return Graph._trusted(len(rows) - 1, tuple(
-        (row & low) | ((row >> (u + 1)) << u) for w, row in enumerate(rows) if w != u
-    ))
 
 
 def _edge_budget_ok(order: int, size: int, n: int, m: int | None) -> bool:

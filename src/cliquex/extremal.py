@@ -5,7 +5,8 @@ The connected decomposition writes the excess m - n as
 C(r-1, 2) + t - 2 with 2 <= t <= r (and r = t = 1 exactly when
 m = n - 1); it is unique and drives every bound and construction
 here. The kernel of a graph at level s is what remains after
-iteratively deleting vertices of degree <= s, i.e. the (s+1)-core.
+iteratively deleting vertices of degree <= s, i.e. the (s+1)-core; a
+mask peel deletes all of them each round, and any order gives that core.
 """
 
 from __future__ import annotations
@@ -86,37 +87,6 @@ def erdos_bound(m: int, s: int) -> int:
 # ── kernel (core) peeling ─────────────────────────────────────────
 
 
-def core_numbers(g: Graph) -> tuple[int, ...]:
-    """Core number of every vertex by bucket-queue peeling."""
-    n = g.n
-    deg = list(g.degrees())
-    if n == 0:
-        return ()
-    maxdeg = max(deg)
-    buckets: list[list[int]] = [[] for _ in range(maxdeg + 1)]
-    for v, d in enumerate(deg):
-        buckets[d].append(v)
-    core = [0] * n
-    removed = [False] * n
-    level = 0
-    for _ in range(n):
-        while not buckets[level] or removed[buckets[level][-1]]:
-            if buckets[level]:
-                buckets[level].pop()
-                continue
-            level += 1
-        # the deg > level guard keeps degrees from dropping below the
-        # committed level, so the scan never has to back up
-        v = buckets[level].pop()
-        core[v] = level
-        removed[v] = True
-        for w in _bits(g.adj[v]):
-            if not removed[w] and deg[w] > level:
-                deg[w] -= 1
-                buckets[deg[w]].append(w)
-    return tuple(core)
-
-
 def kernel(g: Graph, s: int) -> Graph:
     """Maximal induced subgraph of minimum degree >= s + 1 (the (s+1)-core).
 
@@ -129,15 +99,18 @@ def kernel(g: Graph, s: int) -> Graph:
 
 
 def kernel_vertices(g: Graph, s: int) -> frozenset[int]:
-    """Vertex set of kernel(g, s), in the original labeling."""
-    core = core_numbers(g)
-    return frozenset(v for v in range(g.n) if core[v] >= s + 1)
+    """Vertex set of kernel(g, s), in the original labeling: delete every
+    live vertex of degree <= s at once, until no such vertex is left."""
+    live = (1 << g.n) - 1
+    while doomed := sum(1 << v for v in _bits(live) if (g.adj[v] & live).bit_count() <= s):
+        live ^= doomed
+    return frozenset(_bits(live))
 
 
 def peel_random_order(g: Graph, s: int, rng: random.Random) -> frozenset[int]:
     """Surviving vertices after deleting degree <= s vertices one at a
     time in a random order. Used to test order-independence of the
-    kernel; the production path is the bucket queue above.
+    kernel; the production path is the mask peel above.
     """
     live = set(range(g.n))
     deg = list(g.degrees())

@@ -10,6 +10,11 @@ The empty graph (n = 0) is a legal value; kernel peeling can empty a
 graph out completely and the algebra downstream is simpler if that
 result is still a graph.
 
+Every structure query uses one reachability pass, ``_reach`` (the
+vertices reached from a start bit inside a vertex mask): connectivity,
+and ``_is_cut_vertex``, which serves ``articulation_points`` and the
+engine's parent test. ``_without_vertex`` is the one vertex deletion.
+
 An isomorphism class is named by the graph6 record of its canonical
 labeling (``canonical_form``), and ``canonical_graph`` decodes that
 record, so one canonical search serves both; the decoder's rows are
@@ -202,54 +207,15 @@ class Graph:
     # ── structure ─────────────────────────────────────────────────
 
     def is_connected(self) -> bool:
-        """One traversal from vertex 0 reaches everything (False if n = 0)."""
-        if self.n == 0:
-            return False
-        reached = 1
-        while True:
-            grown = reached
-            for u in _bits(reached):
-                grown |= self.adj[u]
-            if grown == reached:
-                break
-            reached = grown
-        return reached == (1 << self.n) - 1
+        """One reachability pass from vertex 0 covers everything (False if n = 0)."""
+        full = (1 << self.n) - 1
+        return self.n > 0 and _reach(self.adj, 1, full) == full
 
     def articulation_points(self) -> frozenset[int]:
-        """Cut vertices of a connected graph, by one low-link DFS."""
+        """Cut vertices of a connected graph: those whose deletion disconnects it."""
         if not self.is_connected():
             raise ValueError("articulation points are defined on connected graphs")
-        n = self.n
-        disc = [-1] * n
-        low = [0] * n
-        cuts: set[int] = set()
-        # Iterative DFS; each frame tracks the remaining neighbor mask.
-        disc[0] = low[0] = 0
-        clock = 1
-        root_children = 0
-        stack: list[tuple[int, int, int]] = [(0, -1, self.adj[0])]
-        while stack:
-            u, parent, todo = stack.pop()
-            if todo == 0:
-                if parent >= 0:
-                    low[parent] = min(low[parent], low[u])
-                    if parent != 0 and low[u] >= disc[parent]:
-                        cuts.add(parent)
-                continue
-            v_bit = todo & -todo
-            v = v_bit.bit_length() - 1
-            stack.append((u, parent, todo ^ v_bit))
-            if disc[v] == -1:
-                disc[v] = low[v] = clock
-                clock += 1
-                if u == 0:
-                    root_children += 1
-                stack.append((v, u, self.adj[v] & ~(1 << u)))
-            elif v != parent:
-                low[u] = min(low[u], disc[v])
-        if root_children > 1:
-            cuts.add(0)
-        return frozenset(cuts)
+        return frozenset(u for u in range(self.n) if _is_cut_vertex(self.adj, u))
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "Graph":
         """Subgraph on the given vertices, relabeled in increasing order."""
@@ -271,9 +237,7 @@ class Graph:
     def remove_vertex(self, v: int) -> "Graph":
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} not in graph")
-        if self.n == 1:
-            return Graph(0, ())
-        return self.induced_subgraph(u for u in range(self.n) if u != v)
+        return _without_vertex(self.adj, v)
 
     def add_vertex(self, neighbors: Iterable[int]) -> "Graph":
         """New graph with vertex n attached to ``neighbors``."""
@@ -298,6 +262,38 @@ class Graph:
                 row |= 1 << p[v]
             rows[p[u]] = row
         return Graph(self.n, tuple(rows))
+
+
+# ── reachability and deletion on adjacency rows ───────────────────
+
+
+def _reach(adj: tuple[int, ...], start: int, within: int) -> int:
+    """The mask of vertices reached from the bit ``start`` by paths that
+    stay inside the vertex mask ``within``; one frontier step per round."""
+    reached = frontier = start
+    while frontier:
+        grown = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            grown |= adj[bit.bit_length() - 1]
+        frontier = grown & within & ~reached
+        reached |= frontier
+    return reached
+
+
+def _is_cut_vertex(adj: tuple[int, ...], u: int) -> bool:
+    """Does deleting u disconnect the connected graph with these rows?"""
+    keep = ((1 << len(adj)) - 1) ^ (1 << u)
+    return _reach(adj, keep & -keep, keep) != keep
+
+
+def _without_vertex(adj: tuple[int, ...], u: int) -> Graph:
+    """The graph with these rows less vertex u, later vertices shifted down."""
+    low = (1 << u) - 1
+    return Graph._trusted(len(adj) - 1, tuple(
+        (row & low) | ((row >> (u + 1)) << u) for w, row in enumerate(adj) if w != u
+    ))
 
 
 # ── canonical form ────────────────────────────────────────────────

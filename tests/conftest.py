@@ -29,6 +29,15 @@ def random_connected_graph(rng: random.Random, n: int, p: float = 0.45) -> Graph
             return g
 
 
+def as_networkx(g: Graph):
+    """The same graph as a networkx graph, for references that share no code with cliquex."""
+    import networkx as nx
+
+    G = nx.empty_graph(g.n)
+    G.add_edges_from(g.edges())
+    return G
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC11C)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import pickle
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,10 +23,10 @@ from cliquex.enumeration import (
     _degree_key,
     _frontier,
     _is_canonical_child,
-    _without_vertex,
     map_partitions,
 )
-from cliquex.graphs import are_twins
+from cliquex.graphs import _without_vertex, are_twins
+from conftest import as_networkx
 from labeled_oracle import labeled_classes
 from polya_oracle import connected_counts, graph_counts
 
@@ -33,12 +34,19 @@ from polya_oracle import connected_counts, graph_counts
 CONNECTED_TOTALS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
 
+def without(g: Graph, u: int) -> Graph:
+    """g - u by the general induced-subgraph relabelling."""
+    return g.induced_subgraph(w for w in range(g.n) if w != u)
+
+
 def reference_is_canonical_child(child: Graph, parent_code: str) -> bool:
     """The parent test as the rule states it, child by child: among the
-    non-cut vertices (by low-link DFS), the deletions of least sorted
-    degree sequence must include the new vertex, and the parent's code
-    must be the least code of those deletions."""
-    cuts = child.articulation_points()
+    non-cut vertices, the deletions of least sorted degree sequence must
+    include the new vertex, and the parent's code must be the least code
+    of those deletions. The cut vertices come from networkx and the
+    deletions from ``induced_subgraph``, so the rule shares no code with
+    the engine's reachability pass or its row deletion."""
+    cuts = set(nx.articulation_points(as_networkx(child)))
     candidates = [u for u in range(child.n) if u not in cuts]
     deg = child.degrees()
     degseqs = {
@@ -49,7 +57,7 @@ def reference_is_canonical_child(child: Graph, parent_code: str) -> bool:
     if degseqs[child.n - 1] != best:
         return False
     return parent_code == min(
-        canonical_form(child.remove_vertex(u)) for u in candidates if degseqs[u] == best
+        canonical_form(without(child, u)) for u in candidates if degseqs[u] == best
     )
 
 
@@ -71,9 +79,9 @@ def test_parent_test_matches_reference_rule():
                 tried += 1
                 accepted += verdict
                 for u in range(k):
-                    without = _without_vertex(child.adj, u)
-                    assert without == child.remove_vertex(u)
-                    assert Graph(without.n, without.adj) == without
+                    deleted = _without_vertex(child.adj, u)
+                    assert deleted == without(child, u)
+                    assert Graph(deleted.n, deleted.adj) == deleted
             for child in _children(parent, 7, None):
                 assert child == parent.add_vertex(child.neighbors(k))
                 assert Graph(child.n, child.adj) == child
@@ -347,7 +355,6 @@ def test_matches_labeled_enumeration_small():
 
 def test_matches_networkx_atlas_counts():
     # third engine: the published atlas of all graphs up to order 7
-    import networkx as nx
     from networkx.generators.atlas import graph_atlas_g
 
     atlas_counts: dict[tuple[int, int], int] = {}

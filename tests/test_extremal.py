@@ -147,16 +147,40 @@ def test_kernel_rejects_negative_threshold():
         kernel(Graph.complete(3), -1)
 
 
+def with_pendant_trees(base: Graph, extra: int, rng) -> Graph:
+    """``base`` with ``extra`` more vertices, each hung on one earlier vertex."""
+    for _ in range(extra):
+        base = base.add_vertex([rng.randrange(base.n)])
+    return base
+
+
+def long_peels(rng):
+    """Graphs whose peel takes many rounds: long paths and cycles, a path
+    ending in K_5, and each of them carrying pendant trees."""
+    for length in (12, 30, 59):
+        tail = Graph.path(length)
+        lollipop = Graph.from_edges(length + 4, list(Graph.complete(5).edges())
+                                    + [(i, i + 1) for i in range(4, length + 3)])
+        for base in (tail, Graph.cycle(length), lollipop):
+            yield base
+            yield with_pendant_trees(base, 64 - base.n, rng)
+
+
 def test_kernel_matches_networkx_core(rng):
     import networkx as nx
 
     from cliquex import to_graph6
 
-    for _ in range(200):
-        g = random_graph(rng, rng.randint(1, 12))
+    graphs = [random_graph(rng, rng.randint(1, 12)) for _ in range(200)]
+    graphs += [random_graph(rng, rng.randint(13, 64), rng.choice((0.05, 0.1, 0.2)))
+               for _ in range(40)]
+    graphs += long_peels(rng)
+    for g in graphs:
         G = nx.from_graph6_bytes(to_graph6(g).encode())
         for s in range(0, 4):
             assert kernel_vertices(g, s) == set(nx.k_core(G, k=s + 1).nodes())
+    for s in range(0, 4):
+        assert kernel_vertices(Graph(0, ()), s) == frozenset()
 
 
 # ── constructors ──────────────────────────────────────────────────

@@ -27,7 +27,7 @@ from cliquex import (
     to_graph6,
 )
 from canonical_oracle import reference_canonical_form
-from conftest import MALFORMED_EDGE_LISTS, random_connected_graph, random_graph
+from conftest import MALFORMED_EDGE_LISTS, as_networkx, random_connected_graph, random_graph
 
 PETERSEN_EDGES = [
     (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
@@ -130,12 +130,22 @@ def test_degree_sequence_examples():
     assert Graph.star(5).degree_sequence() == (4, 1, 1, 1, 1)
 
 
-def test_connectivity_examples():
+def test_connectivity_examples(rng):
     k3_plus_isolated = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
     assert not k3_plus_isolated.is_connected()
     assert Graph.path(6).is_connected()
     c6_minus_edge = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(5)])
     assert c6_minus_edge.is_connected()
+    assert not Graph.empty(0).is_connected()
+    # sparse to dense, so both verdicts occur at every order above 1
+    connected = set()
+    for _ in range(600):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, rng.choice((0.1, 0.2, 0.35, 0.6)))
+        verdict = g.is_connected()
+        assert verdict == nx.is_connected(as_networkx(g)), g
+        connected.add((n, verdict))
+    assert connected == {(1, True)} | {(n, v) for n in range(2, 13) for v in (False, True)}
 
 
 def test_induced_subgraph_examples():
@@ -143,6 +153,9 @@ def test_induced_subgraph_examples():
     assert is_isomorphic(Graph.cycle(5).induced_subgraph([1, 2, 3]), Graph.path(3))
     krt = construct_krt(4, 2)
     assert is_isomorphic(krt.induced_subgraph(range(4)), Graph.complete(4))
+    # remove_vertex relabels as induced_subgraph does, down to the empty graph
+    assert krt.remove_vertex(2) == krt.induced_subgraph([0, 1, 3, 4])
+    assert Graph(1, (0,)).remove_vertex(0) == Graph(0, ())
 
 
 def test_induced_subgraph_errors():
@@ -150,6 +163,8 @@ def test_induced_subgraph_errors():
         Graph.complete(3).induced_subgraph([])
     with pytest.raises(ValueError):
         Graph.complete(3).induced_subgraph([0, 3])
+    with pytest.raises(ValueError):
+        Graph.complete(3).remove_vertex(3)
 
 
 def test_articulation_examples():
@@ -169,11 +184,12 @@ def test_articulation_rejects_disconnected():
 
 def test_articulation_matches_bruteforce(rng):
     for _ in range(300):
-        g = random_connected_graph(rng, rng.randint(2, 9), 0.35)
+        g = random_connected_graph(rng, rng.randint(1, 9), 0.35)
         brute = frozenset(
             v for v in range(g.n) if g.n > 1 and not g.remove_vertex(v).is_connected()
         )
-        assert g.articulation_points() == brute
+        # networkx's low-link DFS shares no code with the reachability pass
+        assert g.articulation_points() == brute == set(nx.articulation_points(as_networkx(g)))
 
 
 # ── graph6 ────────────────────────────────────────────────────────
