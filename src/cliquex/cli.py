@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 a verification harness found a mismatch,
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import string
 import sys
@@ -69,7 +70,8 @@ def _report_path(text: str) -> Path:
     path = Path(text)
     if not path.parent.is_dir():
         raise argparse.ArgumentTypeError(f"no directory {str(path.parent)!r} for the report")
-    if path.is_dir():
+    # Path drops a trailing separator and a final ".", so read the last component from the text
+    if os.path.basename(text) in ("", ".", "..") or path.is_dir():
         raise argparse.ArgumentTypeError(f"report path {text!r} is a directory")
     return path
 

@@ -5,6 +5,11 @@ A mismatch is report content, never an exception; every grid always
 runs to completion. Reports are deterministic for fixed inputs (seed
 and worker count included) once the timing field is ignored, and
 every witness re-verifies in isolation from its graph6 string.
+
+Every report cell, theorem or lemma, is built by `_cell`, which owns
+the cell keys and the one witness rule. Each lemma suite is a stream
+of checks, one (ok, witnesses) pair per check with ok None for no
+check, and `verify_lemma_suite` folds every stream into its rows.
 """
 
 from __future__ import annotations
@@ -12,7 +17,9 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections.abc import Iterable, Iterator
 from functools import partial
+from itertools import chain
 
 from .cliques import clique_counts_upto, count_s_cliques, deletion_identity_check
 from .enumeration import MAX_EXHAUSTIVE_ORDER, EnumerationTask, argmax_fold, connected_graphs
@@ -64,9 +71,21 @@ class VerificationReport:
         return json.dumps(self.to_dict(timing), sort_keys=True, indent=2)
 
 
-def _g6(graphs: list[Graph], cap: int | None = WITNESS_CAP) -> list[str]:
-    out = sorted(to_graph6(g) for g in graphs)
-    return out if cap is None else out[:cap]
+def _cell(n: int, m: int, s: int, predicted: int, observed: int, ok: bool,
+          witnesses: Iterable[Graph], ties: Iterable[Graph] = ()) -> dict:
+    """One report cell. Witnesses and ties are listed as sorted graph6
+    strings, the first WITNESS_CAP of them if the cell matched."""
+    cap = WITNESS_CAP if ok else None
+    return {
+        "n": n,
+        "m": m,
+        "s": s,
+        "predicted": predicted,
+        "observed": observed,
+        "status": "match" if ok else "mismatch",
+        "witnesses": sorted(map(to_graph6, witnesses))[:cap],
+        "ties": sorted(map(to_graph6, ties))[:cap],
+    }
 
 
 def _random_graph(rng: random.Random, n: int, p: float = 0.45) -> Graph:
@@ -128,18 +147,8 @@ def verify_max_cliques(
             for s in svals:
                 observed, attain = cells[(m, s)]
                 predicted = max_cliques_bound(m, n, s)
-                status = "match" if observed == predicted else "mismatch"
                 report.grid.append(
-                    {
-                        "n": n,
-                        "m": m,
-                        "s": s,
-                        "predicted": predicted,
-                        "observed": observed,
-                        "status": status,
-                        "witnesses": _g6(attain, None if status != "match" else WITNESS_CAP),
-                        "ties": [],
-                    }
+                    _cell(n, m, s, predicted, observed, observed == predicted, attain)
                 )
     report.elapsed_ms = int((time.perf_counter() - start) * 1000)
     return report
@@ -185,20 +194,8 @@ def verify_extremal_kernels(
                 bad = [
                     g for g in extremal if canonical_form(kernel(g, s - 2)) not in allowed
                 ]
-                status = "match" if not bad else "mismatch"
-                report.grid.append(
-                    {
-                        "n": n,
-                        "m": m,
-                        "s": s,
-                        "predicted": len(extremal),
-                        "observed": len(extremal) - len(bad),
-                        "status": status,
-                        "witnesses": _g6(bad if bad else extremal,
-                                         None if bad else WITNESS_CAP),
-                        "ties": [],
-                    }
-                )
+                report.grid.append(_cell(n, m, s, len(extremal), len(extremal) - len(bad),
+                                         not bad, bad or extremal))
     report.elapsed_ms = int((time.perf_counter() - start) * 1000)
     return report
 
@@ -216,20 +213,11 @@ def verify_s_order_last(n_max: int, workers: int = 1, seed: int = 0) -> Verifica
     _check_n_max(n_max, 4)
     for n, cells in argmax_fold(range(4, n_max + 1), _moment_cells, workers).items():
         for m in range(n, n * (n - 1) // 2 + 1):
-            key, gallery = cells[m]
-            classes = sorted({canonical_form(g) for g in gallery})
+            _, gallery = cells[m]
+            classes = {canonical_form(g) for g in gallery}
             star = construct_extremal_star(m, n)
-            unique = len(classes) == 1 and classes[0] == canonical_form(star)
-            cell = {
-                "n": n,
-                "m": m,
-                "s": 0,
-                "predicted": 1,
-                "observed": len(classes),
-                "status": "match" if unique else "mismatch",
-                "witnesses": _g6(gallery, None),
-                "ties": _g6(gallery, None) if len(classes) > 1 else [],
-            }
+            ties = gallery if len(classes) > 1 else ()
+            cell = _cell(n, m, 0, 1, len(classes), classes == {canonical_form(star)}, gallery, ties)
             r, t = decompose_connected(m, n)
             if t == 2 and r >= 3 and n >= r + 2:
                 bridge = construct_b2(m, n)
@@ -247,68 +235,50 @@ def verify_s_order_last(n_max: int, workers: int = 1, seed: int = 0) -> Verifica
 
 # ── Lemma property suites ─────────────────────────────────────────
 
+# one (ok, witnesses) pair per check; ok None means no check was made
+_Checks = Iterator[tuple[bool | None, list[Graph]]]
 
-def _suite_excess_kernels(rng: random.Random, iterations: int) -> tuple[int, int, list[Graph]]:
-    """Induced subgraphs never raise the excess, and deep kernels agree."""
-    passes = 0
-    bad: list[Graph] = []
+
+def _suite_excess_kernels(rng: random.Random, iterations: int) -> _Checks:
+    """Induced subgraphs never raise the excess, and deep kernels agree.
+    An iteration that finds no connected induced subgraph fails."""
     for _ in range(iterations):
         n = rng.randint(3, 8)
         g = _random_connected_graph(rng, n)
         for _ in range(200):
-            size = rng.randint(1, n)
-            sub = rng.sample(range(n), size)
-            h = g.induced_subgraph(sub)
+            h = g.induced_subgraph(rng.sample(range(n), rng.randint(1, n)))
             if h.is_connected():
                 break
         else:
+            yield False, []
             continue
         k = (g.m - g.n) - (h.m - h.n)
-        ok = k >= 0
-        for s in range(k + 3, k + 6):
-            ok = ok and canonical_form(kernel(h, s - 2)) == canonical_form(kernel(g, s - 2))
-        passes += ok
-        if not ok:
-            bad.append(g)
-    return passes, iterations, bad
+        yield k >= 0 and all(
+            canonical_form(kernel(h, s - 2)) == canonical_form(kernel(g, s - 2))
+            for s in range(k + 3, k + 6)
+        ), [g]
 
 
-def _suite_binomial_rebalance() -> tuple[int, int, list]:
+def _suite_binomial_rebalance() -> _Checks:
     """C(a,s)+C(b,s) <= C(c,s)+C(a+b-c,s) on the full desk grid, with
     equality exactly when c <= s-1 or c = max(a, b)."""
-    passes = total = 0
-    bad: list = []
     for a in range(1, 13):
         for b in range(1, a + 1):
             for s in range(2, 9):
                 for c in range(a, a + b + 1):
-                    total += 1
                     lhs = choose(a, s) + choose(b, s)
                     rhs = choose(c, s) + choose(a + b - c, s)
-                    predicted_equal = c <= s - 1 or c == a
-                    if lhs <= rhs and (lhs == rhs) == predicted_equal:
-                        passes += 1
-                    else:
-                        bad.append((a, b, c, s))
-    return passes, total, bad
+                    yield lhs <= rhs and (lhs == rhs) == (c <= s - 1 or c == a), []
 
 
-def _suite_fourth_moment(rng: random.Random, iterations: int) -> tuple[int, int, list[Graph]]:
-    passes = 0
-    bad: list[Graph] = []
+def _suite_fourth_moment(rng: random.Random, iterations: int) -> _Checks:
     for _ in range(iterations):
         g = _random_graph(rng, rng.randint(1, 10))
-        if s4_via_subgraphs(g) == spectral_moments(g, 4).s[4]:
-            passes += 1
-        else:
-            bad.append(g)
-    return passes, iterations, bad
+        yield s4_via_subgraphs(g) == spectral_moments(g, 4).s[4], [g]
 
 
-def _suite_reorder_domination(rng: random.Random, iterations: int) -> tuple[int, int, list]:
+def _suite_reorder_domination(rng: random.Random, iterations: int) -> _Checks:
     """Pointwise domination of a nonincreasing prefix survives resorting."""
-    passes = 0
-    bad: list = []
     for _ in range(iterations):
         k = rng.randint(1, 8)
         n = rng.randint(k, k + 6)
@@ -316,18 +286,13 @@ def _suite_reorder_domination(rng: random.Random, iterations: int) -> tuple[int,
         prim = [base[i] + rng.randint(0, 4) for i in range(k)]
         prim += [rng.randint(1, 8) for _ in range(n - k)]
         resorted = sorted(prim, reverse=True)
-        if all(resorted[i] >= base[i] for i in range(k)):
-            passes += 1
-        else:
-            bad.append((base, prim))
-    return passes, iterations, bad
+        yield all(resorted[i] >= base[i] for i in range(k)), []
 
 
-def _suite_pendant_move(rng: random.Random, iterations: int) -> tuple[int, int, list[Graph]]:
+def _suite_pendant_move(rng: random.Random, iterations: int) -> _Checks:
     """A degree move toward the top strictly raises the fourth moment
-    while preserving order, size, and the 2-core."""
-    passes = total = 0
-    bad: list[Graph] = []
+    while preserving order, size, and the 2-core. A graph with no move
+    to make is no check."""
     for _ in range(iterations):
         n = rng.randint(4, 8)
         g = _random_connected_graph(rng, n, 0.4)
@@ -339,19 +304,14 @@ def _suite_pendant_move(rng: random.Random, iterations: int) -> tuple[int, int, 
         spots = [i for i in range(1, h.n) if d[i] > base[i]]
         if not spots:
             continue
-        total += 1
         gstar = d_transformation(g, rng.choice(spots))
         old, new = spectral_moments(g, 4).s, spectral_moments(gstar, 4).s
-        ok = (
+        yield (
             (gstar.n, gstar.m) == (g.n, g.m)
             and new[3] == old[3]
             and new[4] > old[4]
             and canonical_form(kernel(gstar, 1)) == canonical_form(h)
-        )
-        passes += ok
-        if not ok:
-            bad.append(g)
-    return passes, total, bad
+        ), [g]
 
 
 def _noncut_vertex_holds(g: Graph, core: Graph) -> bool | None:
@@ -389,33 +349,19 @@ def _star_maximizes_s4(h: Graph, family: list[Graph], n: int) -> tuple[bool, lis
     return bool(same and expected), argmax
 
 
-def _tally(row: list, ok: bool | None, bad: list[Graph]) -> None:
-    """Add one check to a [passes, total, bad] row; None is no check."""
-    if ok is None:
-        return
-    row[1] += 1
-    if ok:
-        row[0] += 1
-    else:
-        row[2].extend(bad)
-
-
-def _exhaustive_suites(n_max: int) -> tuple[list, list, list]:
-    """[passes, total, bad] of the noncut-low-degree-vertex,
+def _exhaustive_suites(n_max: int) -> Iterator[tuple[str, bool | None, list[Graph]]]:
+    """(lemma, ok, witnesses) checks of the noncut-low-degree-vertex,
     clique-free-band and pendant-star-maximizes-s4 suites, from one
     enumeration pass per order 2..n_max."""
-    noncut: list = [0, 0, []]
-    band: list = [0, 0, []]
-    star: list = [0, 0, []]
     cores: dict[CanonicalForm, Graph] = {}  # graphs on 3..5 vertices that are their own 2-core
     for n in range(2, n_max + 1):
         families: dict[CanonicalForm, list[Graph]] = {}  # order-n graphs by 2-core
         for g in connected_graphs(EnumerationTask(n)):
             core = kernel(g, 1)
-            _tally(noncut, _noncut_vertex_holds(g, core), [g])
+            yield "noncut-low-degree-vertex", _noncut_vertex_holds(g, core), [g]
             for s in (3, 4, 5):  # below the excess threshold no s-clique can exist
                 if g.m - g.n <= choose(s, 2) - s - 1:
-                    _tally(band, count_s_cliques(g, s) == 0, [g])
+                    yield "clique-free-band", count_s_cliques(g, s) == 0, [g]
             if 3 <= n <= 5 and core.n == n:
                 cores[canonical_form(g)] = g
             if n <= 7 and 0 < core.n <= 5 and core.n < n:
@@ -423,37 +369,25 @@ def _exhaustive_suites(n_max: int) -> tuple[list, list, list]:
         for code, h in sorted(cores.items()):
             family = families.get(code)
             if family and h.n < n:
-                _tally(star, *_star_maximizes_s4(h, family, n))
-    return noncut, band, star
+                yield "pendant-star-maximizes-s4", *_star_maximizes_s4(h, family, n)
 
 
-def _suite_kernel_order_independence(rng: random.Random, graphs: int, orders: int) -> tuple[int, int, list[Graph]]:
-    passes = 0
-    bad: list[Graph] = []
+def _suite_kernel_order_independence(rng: random.Random, graphs: int, orders: int) -> _Checks:
     for _ in range(graphs):
         g = _random_graph(rng, rng.randint(1, 10))
         s = rng.randint(0, 4)
         reference = kernel_vertices(g, s)
-        ok = all(peel_random_order(g, s, rng) == reference for _ in range(orders))
-        passes += ok
-        if not ok:
-            bad.append(g)
-    return passes, graphs, bad
+        yield all(peel_random_order(g, s, rng) == reference for _ in range(orders)), [g]
 
 
-def _suite_deletion_identity(rng: random.Random, iterations: int) -> tuple[int, int, list[Graph]]:
-    passes = 0
-    bad: list[Graph] = []
+def _suite_deletion_identity(rng: random.Random, iterations: int) -> _Checks:
     for _ in range(iterations):
         n = rng.randint(2, 9)
         g = _random_graph(rng, n)
         v = rng.randrange(n)
         s = rng.randint(2, 5)
         lhs, rhs = deletion_identity_check(g, v, s)
-        passes += lhs == rhs
-        if lhs != rhs:
-            bad.append(g)
-    return passes, iterations, bad
+        yield lhs == rhs, [g]
 
 
 def verify_lemma_suite(
@@ -467,33 +401,34 @@ def verify_lemma_suite(
     _check_n_max(n_max, 4)
     report = VerificationReport("lemma-suite", seed=seed)
     rng = random.Random(seed)
-    noncut, band, star = _exhaustive_suites(n_max)
-
-    def row(lemma: str, passes: int, total: int, bad: list) -> None:
-        witnesses = _g6([g for g in bad if isinstance(g, Graph)])
-        report.grid.append(
-            {
-                "lemma": lemma,
-                "n": n_max,
-                "m": 0,
-                "s": 0,
-                "predicted": total,
-                "observed": passes,
-                "status": "match" if passes == total > 0 else "mismatch",
-                "witnesses": witnesses,
-                "ties": [],
-            }
-        )
-
-    row("excess-kernel-agreement", *_suite_excess_kernels(rng, min(iterations, 300)))
-    row("noncut-low-degree-vertex", *noncut)
-    row("binomial-rebalance", *_suite_binomial_rebalance())
-    row("clique-free-band", *band)
-    row("fourth-moment-identity", *_suite_fourth_moment(rng, iterations))
-    row("reorder-domination", *_suite_reorder_domination(rng, iterations))
-    row("pendant-move-raises-s4", *_suite_pendant_move(rng, min(iterations, 400)))
-    row("pendant-star-maximizes-s4", *star)
-    row("kernel-order-independence", *_suite_kernel_order_independence(rng, 100, 100))
-    row("deletion-identity", *_suite_deletion_identity(rng, iterations))
+    # the suites draw from rng in this order, each to its end before the next starts
+    drawn = {
+        "excess-kernel-agreement": _suite_excess_kernels(rng, min(iterations, 300)),
+        "binomial-rebalance": _suite_binomial_rebalance(),
+        "fourth-moment-identity": _suite_fourth_moment(rng, iterations),
+        "reorder-domination": _suite_reorder_domination(rng, iterations),
+        "pendant-move-raises-s4": _suite_pendant_move(rng, min(iterations, 400)),
+        "kernel-order-independence": _suite_kernel_order_independence(rng, 100, 100),
+        "deletion-identity": _suite_deletion_identity(rng, iterations),
+    }
+    rows: dict[str, list] = {lemma: [0, 0, []] for lemma in (  # [passes, checks, witnesses]
+        "excess-kernel-agreement", "noncut-low-degree-vertex", "binomial-rebalance",
+        "clique-free-band", "fourth-moment-identity", "reorder-domination",
+        "pendant-move-raises-s4", "pendant-star-maximizes-s4",
+        "kernel-order-independence", "deletion-identity",
+    )}
+    drawn_checks = ((lemma, *check) for lemma, checks in drawn.items() for check in checks)
+    for lemma, ok, witnesses in chain(_exhaustive_suites(n_max), drawn_checks):
+        if ok is None:
+            continue
+        row = rows[lemma]
+        row[1] += 1
+        if ok:
+            row[0] += 1
+        else:
+            row[2] += witnesses
+    for lemma, (passes, checks, witnesses) in rows.items():
+        cell = _cell(n_max, 0, 0, checks, passes, passes == checks > 0, witnesses)
+        report.grid.append({"lemma": lemma, **cell})
     report.elapsed_ms = int((time.perf_counter() - start) * 1000)
     return report

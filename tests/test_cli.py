@@ -139,6 +139,7 @@ def test_integer_options_take_ascii_digits_only(capsys, argv):
         (("verify", "lemmas", "--nmax", "5", "--iterations", "0"), 2),
         (("verify", "s-order", "--nmax", "5", "--out", "no-such-dir/report.json"), 2),
         (("verify", "s-order", "--nmax", "5", "--out", "."), 2),
+        (("verify", "s-order", "--nmax", "5", "--out", "results/"), 2),
     ],
 )
 def test_bad_arguments_fail_before_enumerating(capsys, monkeypatch, argv, code):

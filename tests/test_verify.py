@@ -210,3 +210,58 @@ def test_report_json_shape():
     fresh, other = VerificationReport("max-cliques"), VerificationReport("max-cliques")
     fresh.grid.append({})
     assert other.grid == [] and (other.seed, other.elapsed_ms) == (0, 0)
+
+
+def test_reports_match_pinned_hashes():
+    # sha256 of each report body; a change here changes report bytes
+    import hashlib
+
+    for report, digest in (
+        (verify_max_cliques(6, {3, 4}),
+         "5085517f834ca445de7260890294b420ffb536d05e3fee19a7fb1026f95d6312"),
+        (verify_extremal_kernels(6, {3, 4}),
+         "c169da7553028736d2ae2198ca6804b9e3a219296eaaf5f9f07d72f8af3857e8"),
+        (verify_s_order_last(6),
+         "3b6dfcff5624f4c0021b3c4151e6e6c4a562ecae7c582dae01f5a2e10189ab96"),
+        (verify_lemma_suite(0, 200, 6),
+         "31e2d64547cee161abdbec0cddcdd8d4375b07346c9df9a369bb8a24f2d7257a"),
+    ):
+        body = report.to_json(timing=False).encode()
+        assert hashlib.sha256(body).hexdigest() == digest, report.theorem_id
+
+
+def test_mismatched_lemma_row_keeps_every_witness(monkeypatch):
+    import cliquex.verify as verify
+
+    monkeypatch.setattr(verify, "s4_via_subgraphs", lambda g: -1)
+    rows = {cell["lemma"]: cell for cell in verify_lemma_suite(0, 50, 4).grid}
+    row = rows["fourth-moment-identity"]
+    assert (row["status"], row["predicted"], row["observed"]) == ("mismatch", 50, 0)
+    assert len(row["witnesses"]) == 50 > verify.WITNESS_CAP
+    assert row["witnesses"] == sorted(row["witnesses"])
+    assert rows["deletion-identity"]["status"] == "match"
+
+
+def test_theorem_mismatches_keep_every_witness(monkeypatch):
+    import cliquex.verify as verify
+
+    bound = verify.max_cliques_bound
+    monkeypatch.setattr(verify, "max_cliques_bound", lambda m, n, s: bound(m, n, s) + 1)
+    report = verify_max_cliques(7, {3})
+    assert report.grid and report.mismatches == report.grid
+    trees = next(c for c in report.grid if (c["n"], c["m"]) == (7, 6))
+    assert (trees["predicted"], trees["observed"]) == (1, 0)
+    assert len(trees["witnesses"]) == 11 > verify.WITNESS_CAP  # every tree of order 7
+    assert {from_graph6(text).m for text in trees["witnesses"]} == {6}
+
+    expected = {(c["n"], c["m"], c["s"]): c for c in verify_extremal_kernels(6, {3, 4}).grid}
+    monkeypatch.setattr(verify, "_allowed_kernel_codes", lambda n, r, t, s: set())
+    report = verify_extremal_kernels(6, {3, 4})
+    assert report.grid and report.mismatches == report.grid
+    assert max(cell["predicted"] for cell in report.grid) > verify.WITNESS_CAP
+    for cell in report.grid:
+        assert cell["observed"] == 0
+        assert len(cell["witnesses"]) == cell["predicted"]
+        match = expected[(cell["n"], cell["m"], cell["s"])]
+        assert match["predicted"] == cell["predicted"]
+        assert match["witnesses"] == cell["witnesses"][: verify.WITNESS_CAP]
