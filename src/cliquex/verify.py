@@ -10,6 +10,9 @@ Every report cell, theorem or lemma, is built by `_cell`, which owns
 the cell keys and the one witness rule. Each lemma suite is a stream
 of checks, one (ok, witnesses) pair per check with ok None for no
 check, and `verify_lemma_suite` folds every stream into its rows.
+
+s-order folds k_3 per cell, then ranks only the triangle maximizers by
+moments: S_0..S_2 are fixed per (n, m), and S_3 = 6 k_3 is checked.
 """
 
 from __future__ import annotations
@@ -125,8 +128,12 @@ def _clique_cells(svals: tuple[int, ...], g: Graph) -> list[tuple[tuple[int, int
     return [((g.m, s), counts[s - 1] if s <= g.n else 0) for s in svals]
 
 
-def _moment_cells(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
-    return [(g.m, moment_sequence(g))]
+def _moment_gallery(k3: int, triangles: list[Graph]) -> tuple[list[Graph], list[Graph]]:
+    """The moment maxima among one cell's triangle maximizers, and those with S_3 != 6 k_3."""
+    keys = [moment_sequence(g) for g in triangles]
+    best = max(keys)
+    return ([g for g, key in zip(triangles, keys) if key == best],
+            [g for g, key in zip(triangles, keys) if key[3] != 6 * k3])
 
 
 # ── Theorem harness: maximum clique counts ────────────────────────
@@ -206,18 +213,20 @@ def verify_extremal_kernels(
 def verify_s_order_last(n_max: int, workers: int = 1, seed: int = 0) -> VerificationReport:
     """The lexicographic moment-order maximum over each class must be
     attained by the pendant-star construction alone; any tie or foreign
-    witness is a mismatch. In t = 2 cells wide enough to host it, the
-    bridge competitor is compared and recorded under "b_pair"."""
+    witness is a mismatch, and so is S_3 != 6 k_3 on a triangle maximizer
+    (those are then the witnesses). In t = 2 cells wide enough to host
+    it, the bridge competitor is compared and recorded under "b_pair"."""
     start = time.perf_counter()
     report = VerificationReport("s-order-last", seed=seed)
     _check_n_max(n_max, 4)
-    for n, cells in argmax_fold(range(4, n_max + 1), _moment_cells, workers).items():
+    for n, cells in argmax_fold(range(4, n_max + 1), partial(_clique_cells, (3,)), workers).items():
         for m in range(n, n * (n - 1) // 2 + 1):
-            _, gallery = cells[m]
+            gallery, broken = _moment_gallery(*cells[(m, 3)])
             classes = {canonical_form(g) for g in gallery}
             star = construct_extremal_star(m, n)
             ties = gallery if len(classes) > 1 else ()
-            cell = _cell(n, m, 0, 1, len(classes), classes == {canonical_form(star)}, gallery, ties)
+            ok = classes == {canonical_form(star)} and not broken
+            cell = _cell(n, m, 0, 1, len(classes), ok, broken or gallery, ties)
             r, t = decompose_connected(m, n)
             if t == 2 and r >= 3 and n >= r + 2:
                 bridge = construct_b2(m, n)

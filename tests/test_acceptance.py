@@ -80,12 +80,9 @@ def test_criterion_2_extremal_kernel_forms():
     assert ok, rep.mismatches[:3]
 
 
-def test_criterion_3_moment_order_last_graph():
-    """The moment-order maximum is attained uniquely by the pendant-star
-    construction for 4 <= n <= 7, m >= n; every t=2 cell that can hold
-    the bridge competitor ranks it strictly earlier, splitting at S_4."""
+def check_moment_order_last_graph(n_max: int, label: str, budget_s: float) -> None:
     start = time.perf_counter()
-    rep = verify_s_order_last(7)
+    rep = verify_s_order_last(n_max)
     elapsed = time.perf_counter() - start
     ok = not rep.mismatches
     pair_cells = [c for c in rep.grid if "b_pair" in c]
@@ -101,13 +98,26 @@ def test_criterion_3_moment_order_last_graph():
         if t == 2 and r >= 3 and cell["n"] >= r + 2:
             expected_pairs += 1
     report(
-        "criterion 3: moment-order last graph n<=7",
+        f"criterion 3{label}: moment-order last graph n<={n_max}",
         ok and pairs_ok,
         f"{len(rep.grid)} cells, {len(pair_cells)} bridge duels in {elapsed:.1f}s",
     )
     assert ok, rep.mismatches[:3]
     assert pairs_ok and len(pair_cells) == expected_pairs
-    assert elapsed < 120.0
+    assert elapsed < budget_s
+
+
+def test_criterion_3_moment_order_last_graph():
+    """The moment-order maximum is attained uniquely by the pendant-star
+    construction for 4 <= n <= 7, m >= n; every t=2 cell that can hold
+    the bridge competitor ranks it strictly earlier, splitting at S_4."""
+    check_moment_order_last_graph(7, "", 120.0)
+
+
+@pytest.mark.extended
+@pytest.mark.skipif(not EXTENDED, reason="set CLIQUEX_EXTENDED=1 for the n=8 grid")
+def test_criterion_3_extended_n8():
+    check_moment_order_last_graph(8, " (extended)", 600.0)
 
 
 def test_criterion_4_fourth_moment_identity():

@@ -7,11 +7,15 @@ from cliquex import (
     decompose_connected,
     from_graph6,
     kernel,
+    moment_sequence,
     verify_extremal_kernels,
     verify_lemma_suite,
     verify_max_cliques,
     verify_s_order_last,
 )
+from cliquex.enumeration import argmax_fold
+from cliquex.graphs import to_graph6
+from cliquex.verify import _clique_cells, _moment_gallery
 
 SCHEMA_KEYS = {"n", "m", "s", "predicted", "observed", "status", "witnesses", "ties"}
 
@@ -87,13 +91,54 @@ def test_s_order_skips_trees():
 
 
 def test_s_order_witnesses_reverify():
-    from cliquex import construct_extremal_star, moment_sequence
+    from cliquex import construct_extremal_star
 
     report = verify_s_order_last(6)
     for cell in report.grid:
         star_key = moment_sequence(construct_extremal_star(cell["m"], cell["n"]))
         for text in cell["witnesses"]:
             assert moment_sequence(from_graph6(text)) == star_key
+
+
+def _moments_and_triangles(g):
+    # the reference key, every class's full moment sequence, beside the harness's k_3 cell
+    return [(("moments", g.m), moment_sequence(g)), *_clique_cells((3,), g)]
+
+
+def test_triangle_shortcut_matches_all_moments_fold():
+    # one pass per order folds both keys, so n = 8 is enumerated once
+    cells_checked = 0
+    for n, cells in argmax_fold(range(4, 9), _moments_and_triangles).items():
+        for m in range(n, n * (n - 1) // 2 + 1):
+            best, attain = cells[("moments", m)]
+            gallery, broken = _moment_gallery(*cells[(m, 3)])
+            assert not broken, (n, m)
+            assert moment_sequence(gallery[0]) == best, (n, m)
+            assert [to_graph6(g) for g in gallery] == [to_graph6(g) for g in attain], (n, m)
+            cells_checked += 1
+    assert cells_checked == sum(n * (n - 1) // 2 - n + 1 for n in range(4, 9))
+
+
+def test_s_order_cell_breaking_the_triangle_identity_is_a_mismatch(monkeypatch):
+    import cliquex.verify as verify
+    from cliquex.enumeration import EnumerationTask, connected_graphs
+
+    counts = verify.clique_counts_upto
+    # one triangle too many, so S_3 = 6 k_3 fails on every triangle maximizer
+    monkeypatch.setattr(verify, "clique_counts_upto",
+                        lambda g, s: tuple(c + (i == 2) for i, c in enumerate(counts(g, s))))
+    report = verify_s_order_last(5)
+    assert report.grid and report.mismatches == report.grid
+    cells = {(c["n"], c["m"]): c for c in report.grid}
+    assert len(cells) == len(report.grid) == 3 + 6  # (4, 4..6) and (5, 5..10)
+    for n in (4, 5):
+        graphs = list(connected_graphs(EnumerationTask(n)))
+        for m in range(n, n * (n - 1) // 2 + 1):
+            sized = [g for g in graphs if g.m == m]
+            top = max(count_s_cliques(g, 3) for g in sized)
+            expected = sorted(to_graph6(g) for g in sized if count_s_cliques(g, 3) == top)
+            assert cells[(n, m)]["witnesses"] == expected, (n, m)
+    assert len(cells[(5, 5)]["witnesses"]) > cells[(5, 5)]["observed"] == 1
 
 
 def test_lemma_suite_all_pass():
@@ -223,6 +268,8 @@ def test_reports_match_pinned_hashes():
          "c169da7553028736d2ae2198ca6804b9e3a219296eaaf5f9f07d72f8af3857e8"),
         (verify_s_order_last(6),
          "3b6dfcff5624f4c0021b3c4151e6e6c4a562ecae7c582dae01f5a2e10189ab96"),
+        (verify_s_order_last(7),
+         "93507b2f3e768d442f8910101b6d3aa02f4a1535eff2d5d0f72b783262b6ad57"),
         (verify_lemma_suite(0, 200, 6),
          "31e2d64547cee161abdbec0cddcdd8d4375b07346c9df9a369bb8a24f2d7257a"),
     ):
