@@ -5,7 +5,10 @@ line); an edge-list reader is provided for convenience. Numeric
 results print as plain decimals, one per line; verification reports
 print as JSON.
 
-Exit codes: 0 success, 1 a verification harness found a mismatch,
+Each subcommand is declared once, in `_build_parser`: its options and
+the act that returns its output lines or its report. `run` parses,
+calls the act, prints or writes what it returns, and maps errors to
+exit codes: 0 success, 1 a verification harness found a mismatch,
 2 usage or input parse error, 3 infeasible parameters.
 """
 
@@ -18,6 +21,7 @@ import string
 import sys
 from itertools import chain
 from pathlib import Path
+from typing import Iterator
 
 from .cliques import count_s_cliques
 from .enumeration import EnumerationTask, connected_graphs, map_partitions
@@ -84,84 +88,6 @@ def _parse_clique_orders(text: str) -> set[int]:
     return orders
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cliquex",
-        description="Sharp s-clique maxima, extremal constructions, and "
-        "moment-order verification for small connected graphs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_io(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--input", default="-", help="graph source path, or - for stdin")
-        p.add_argument(
-            "--format",
-            choices=("graph6", "edgelist", "auto"),
-            default="auto",
-            help="input format (auto sniffs the first line)",
-        )
-
-    p = sub.add_parser("bound", help="sharp maximum of k_s (connected if --n given)")
-    p.add_argument("--m", type=_integer, required=True)
-    p.add_argument("--n", type=_integer)
-    p.add_argument("--s", type=_integer, required=True)
-
-    p = sub.add_parser("decompose", help="size/order decomposition (r, t)")
-    p.add_argument("--m", type=_integer, required=True)
-    p.add_argument("--n", type=_integer)
-
-    p = sub.add_parser("count", help="k_s for each input graph")
-    p.add_argument("--s", type=_integer, required=True)
-    add_io(p)
-
-    p = sub.add_parser("kernel", help="iterated low-degree peeling of each input graph")
-    p.add_argument("--s", type=_integer, required=True)
-    add_io(p)
-
-    p = sub.add_parser("moments", help="closed-walk counts S_0..S_jmax per graph")
-    p.add_argument("--jmax", type=_integer, default=None, help="default: order - 1")
-    add_io(p)
-
-    p = sub.add_parser("compare", help="moment-order comparison of exactly two graphs")
-    add_io(p)
-
-    p = sub.add_parser("construct", help="build an extremal-family graph")
-    p.add_argument(
-        "--family", choices=("star", "krt", "bridge", "b1", "b2"), required=True
-    )
-    p.add_argument("--m", type=_integer)
-    p.add_argument("--n", type=_integer)
-    p.add_argument("--r", type=_integer)
-    p.add_argument("--t", type=_integer)
-    p.add_argument("--p", type=_integer)
-    p.add_argument("--q", type=_integer)
-    p.add_argument("--len", type=_integer, default=0, dest="length")
-
-    p = sub.add_parser("enumerate", help="one graph6 line per isomorphism class")
-    p.add_argument("--n", type=_integer, required=True)
-    p.add_argument("--m", type=_integer, default=None)
-    p.add_argument("--workers", type=_positive_int, default=1)
-
-    p = sub.add_parser("verify", help="run a theorem harness and emit a JSON report")
-    p.add_argument(
-        "target",
-        choices=("max-cliques", "extremal-kernels", "s-order", "lemmas"),
-    )
-    p.add_argument("--nmax", type=_integer, required=True)
-    p.add_argument("--s", type=_parse_clique_orders, default="3", help="comma-separated clique orders")
-    p.add_argument("--workers", type=_positive_int, default=1)
-    p.add_argument("--seed", type=_integer, default=0)
-    p.add_argument("--iterations", type=_positive_int, default=1000)
-    p.add_argument("--out", type=_report_path, default=None, help="report path (default stdout)")
-    return parser
-
-
-def _read_text(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
-    return Path(source).read_text()
-
-
 def _sniff_format(text: str) -> str:
     for line in text_lines(text):
         match = EDGE_LINE.fullmatch(line)
@@ -173,13 +99,16 @@ def _sniff_format(text: str) -> str:
 
 
 def _read_graphs(args: argparse.Namespace) -> list[Graph]:
-    text = _read_text(args.input)
-    fmt = args.format if args.format != "auto" else _sniff_format(text)
-    if fmt == "edgelist":
-        return [from_edge_list(text)]
-    graphs = [from_graph6(line) for line in text_lines(text) if line]
+    try:  # malformed records are parse errors, not infeasibility
+        text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
+        fmt = args.format if args.format != "auto" else _sniff_format(text)
+        if fmt == "edgelist":
+            return [from_edge_list(text)]
+        graphs = [from_graph6(line) for line in text_lines(text) if line]
+    except ValueError as exc:
+        raise _Usage(str(exc)) from exc
     if not graphs:
-        raise ValueError("no graph6 records found in input")
+        raise _Usage("no graph6 records found in input")
     return graphs
 
 
@@ -187,123 +116,149 @@ def _graph6_lines(task: EnumerationTask) -> list[str]:
     return [to_graph6(g) for g in connected_graphs(task)]
 
 
-def _emit_report(report: VerificationReport, out: Path | None) -> int:
-    payload = report.to_json()
-    if out:
-        out.write_text(payload + "\n")
-    else:
-        print(payload)
-    return EXIT_MISMATCH if report.mismatches else EXIT_OK
-
-
-def _cmd_construct(args: argparse.Namespace) -> int:
-    family = args.family
-    if family in ("star", "b1", "b2"):
-        if args.m is None or args.n is None:
-            raise _Usage(f"--family {family} needs --m and --n")
-        builder = {"star": construct_extremal_star, "b1": construct_b1, "b2": construct_b2}
-        print(to_graph6(builder[family](args.m, args.n)))
-    elif family == "krt":
-        if args.r is None or args.t is None:
-            raise _Usage("--family krt needs --r and --t")
-        print(to_graph6(construct_krt(args.r, args.t)))
-    else:
-        if args.p is None or args.q is None:
-            raise _Usage("--family bridge needs --p and --q")
-        print(to_graph6(construct_bridge(args.p, args.q, args.length)))
-    return EXIT_OK
-
-
 class _Usage(Exception):
     pass
 
 
+# The table entries look each function up when they run, so a wrapper put
+# on a module binding (as a tracer does) is the one they call.
+# family: (the options it needs, its builder)
+_FAMILIES = {
+    "star": (("m", "n"), lambda args: construct_extremal_star(args.m, args.n)),
+    "krt": (("r", "t"), lambda args: construct_krt(args.r, args.t)),
+    "bridge": (("p", "q"), lambda args: construct_bridge(args.p, args.q, args.length)),
+    "b1": (("m", "n"), lambda args: construct_b1(args.m, args.n)),
+    "b2": (("m", "n"), lambda args: construct_b2(args.m, args.n)),
+}
+
+_HARNESSES = {
+    "max-cliques": lambda args: verify_max_cliques(args.nmax, args.s, args.workers, args.seed),
+    "extremal-kernels": lambda args: verify_extremal_kernels(args.nmax, args.s, args.workers, args.seed),
+    "s-order": lambda args: verify_s_order_last(args.nmax, args.workers, args.seed),
+    "lemmas": lambda args: verify_lemma_suite(args.seed, args.iterations, args.nmax),
+}
+
+
+def _bound(args: argparse.Namespace) -> list[int]:
+    bound = erdos_bound(args.m, args.s) if args.n is None else max_cliques_bound(args.m, args.n, args.s)
+    return [bound]
+
+
+def _decompose(args: argparse.Namespace) -> list[str]:
+    r, t = decompose_erdos(args.m) if args.n is None else decompose_connected(args.m, args.n)
+    return [f"r={r} t={t}"]
+
+
+def _moments(args: argparse.Namespace) -> Iterator[str]:
+    for g in _read_graphs(args):
+        jmax = args.jmax if args.jmax is not None else max(g.n - 1, 0)
+        yield " ".join(str(x) for x in spectral_moments(g, jmax).s)
+
+
+def _compare(args: argparse.Namespace) -> list[str]:
+    graphs = _read_graphs(args)
+    if len(graphs) != 2:
+        raise _Usage(f"compare needs exactly two graphs, got {len(graphs)}")
+    result = s_order_compare(graphs[0], graphs[1])
+    if result.relation == "equal":
+        return ["equal"]
+    return [f"{result.relation} {result.first_differing_index}"]
+
+
+def _construct(args: argparse.Namespace) -> list[str]:
+    needs, build = _FAMILIES[args.family]
+    if any(getattr(args, name) is None for name in needs):
+        raise _Usage(f"--family {args.family} needs " + " and ".join(f"--{name}" for name in needs))
+    return [to_graph6(build(args))]
+
+
+def _enumerate(args: argparse.Namespace) -> list[str]:
+    parts = map_partitions(_graph6_lines, [args.n], args.m, args.workers)[args.n]
+    return sorted(chain.from_iterable(parts))
+
+
+def _verify(args: argparse.Namespace) -> VerificationReport:
+    return _HARNESSES[args.target](args)
+
+
+_INT = {"type": _integer}
+_REQUIRED_INT = {"type": _integer, "required": True}
+_WORKERS = {"type": _positive_int, "default": 1}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cliquex",
+        description="Sharp s-clique maxima, extremal constructions, and "
+        "moment-order verification for small connected graphs.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, summary: str, act, options: dict, graphs: bool = False) -> None:
+        """A subcommand: its options in order, then the graph-input options
+        if it reads graphs. act(args) returns the output lines or a
+        VerificationReport."""
+        p = sub.add_parser(name, help=summary)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        if graphs:
+            p.add_argument("--input", default="-", help="graph source path, or - for stdin")
+            p.add_argument("--format", choices=("graph6", "edgelist", "auto"), default="auto",
+                           help="input format (auto sniffs the first line)")
+        p.set_defaults(act=act)
+
+    command("bound", "sharp maximum of k_s (connected if --n given)", _bound,
+            {"--m": _REQUIRED_INT, "--n": _INT, "--s": _REQUIRED_INT})
+    command("decompose", "size/order decomposition (r, t)", _decompose, {"--m": _REQUIRED_INT, "--n": _INT})
+    command("count", "k_s for each input graph",
+            lambda args: (count_s_cliques(g, args.s) for g in _read_graphs(args)),
+            {"--s": _REQUIRED_INT}, graphs=True)
+    command("kernel", "iterated low-degree peeling of each input graph",
+            lambda args: (to_graph6(kernel(g, args.s)) for g in _read_graphs(args)),
+            {"--s": _REQUIRED_INT}, graphs=True)
+    command("moments", "closed-walk counts S_0..S_jmax per graph", _moments,
+            {"--jmax": {"type": _integer, "default": None, "help": "default: order - 1"}}, graphs=True)
+    command("compare", "moment-order comparison of exactly two graphs", _compare, {}, graphs=True)
+    command("construct", "build an extremal-family graph", _construct, {
+        "--family": {"choices": tuple(_FAMILIES), "required": True},
+        **dict.fromkeys(("--m", "--n", "--r", "--t", "--p", "--q"), _INT),
+        "--len": {"type": _integer, "default": 0, "dest": "length"},
+    })
+    command("enumerate", "one graph6 line per isomorphism class", _enumerate,
+            {"--n": _REQUIRED_INT, "--m": _INT, "--workers": _WORKERS})
+    command("verify", "run a theorem harness and emit a JSON report", _verify, {
+        "target": {"choices": tuple(_HARNESSES)},
+        "--nmax": _REQUIRED_INT,
+        "--s": {"type": _parse_clique_orders, "default": "3", "help": "comma-separated clique orders"},
+        "--workers": _WORKERS,
+        "--seed": {"type": _integer, "default": 0},
+        "--iterations": {"type": _positive_int, "default": 1000},
+        "--out": {"type": _report_path, "default": None, "help": "report path (default stdout)"},
+    })
+    return parser
+
+
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
+    if hasattr(sys, "set_int_max_str_digits"):  # a bound may print with more than 4300 digits
+        sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
-
-    try:
-        if args.command == "bound":
-            if args.n is None:
-                print(erdos_bound(args.m, args.s))
-            else:
-                print(max_cliques_bound(args.m, args.n, args.s))
-            return EXIT_OK
-
-        if args.command == "decompose":
-            if args.n is None:
-                r, t = decompose_erdos(args.m)
-            else:
-                r, t = decompose_connected(args.m, args.n)
-            print(f"r={r} t={t}")
-            return EXIT_OK
-
-        if args.command == "construct":
-            return _cmd_construct(args)
-
-        if args.command == "enumerate":
-            parts = map_partitions(_graph6_lines, [args.n], args.m, args.workers)[args.n]
-            for line in sorted(chain.from_iterable(parts)):
+        args = _build_parser().parse_args(argv)
+        result = args.act(args)
+        if not isinstance(result, VerificationReport):
+            for line in result:
                 print(line)
             return EXIT_OK
-
-        if args.command == "verify":
-            if args.target == "max-cliques":
-                report = verify_max_cliques(args.nmax, args.s, args.workers, args.seed)
-            elif args.target == "extremal-kernels":
-                report = verify_extremal_kernels(args.nmax, args.s, args.workers, args.seed)
-            elif args.target == "s-order":
-                report = verify_s_order_last(args.nmax, args.workers, args.seed)
-            else:
-                report = verify_lemma_suite(args.seed, args.iterations, args.nmax)
-            return _emit_report(report, args.out)
-
-        # remaining commands consume graph input
-        try:
-            graphs = _read_graphs(args)
-        except ValueError as exc:  # malformed records are parse errors, not infeasibility
-            raise _Usage(str(exc)) from exc
-
-        if args.command == "count":
-            for g in graphs:
-                print(count_s_cliques(g, args.s))
-            return EXIT_OK
-
-        if args.command == "kernel":
-            for g in graphs:
-                print(to_graph6(kernel(g, args.s)))
-            return EXIT_OK
-
-        if args.command == "moments":
-            for g in graphs:
-                jmax = args.jmax if args.jmax is not None else max(g.n - 1, 0)
-                print(" ".join(str(x) for x in spectral_moments(g, jmax).s))
-            return EXIT_OK
-
-        if args.command == "compare":
-            if len(graphs) != 2:
-                raise _Usage(f"compare needs exactly two graphs, got {len(graphs)}")
-            result = s_order_compare(graphs[0], graphs[1])
-            if result.relation == "equal":
-                print("equal")
-            else:
-                print(f"{result.relation} {result.first_differing_index}")
-            return EXIT_OK
-
-        raise _Usage(f"unknown command {args.command!r}")
-
-    except _Usage as exc:
+        if args.out:
+            args.out.write_text(result.to_json() + "\n")
+        else:
+            print(result.to_json())
+        return EXIT_MISMATCH if result.mismatches else EXIT_OK
+    except SystemExit as exc:  # argparse has printed the help or a usage error
+        return EXIT_USAGE if exc.code else EXIT_OK
+    except (_Usage, OSError, ValueError) as exc:
         print(f"cliquex: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (Graph6Error, OSError) as exc:
-        print(f"cliquex: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"cliquex: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        usage = isinstance(exc, (_Usage, Graph6Error, OSError))
+        return EXIT_USAGE if usage else EXIT_INFEASIBLE
 
 
 def main() -> None:

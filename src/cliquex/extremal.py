@@ -12,7 +12,8 @@ mask peel deletes all of them each round, and any order gives that core.
 from __future__ import annotations
 
 import random
-from math import comb
+from itertools import chain
+from math import comb, isqrt
 from typing import NamedTuple
 
 from .graphs import Graph, _bits
@@ -45,9 +46,8 @@ def decompose_connected(m: int, n: int) -> Decomposition:
     excess = m - n
     if excess == -1:
         return Decomposition(1, 1)
-    r = 2
-    while choose(r - 1, 2) + r < excess + 2:
-        r += 1
+    # the least r >= 2 with C(r-1, 2) + r = C(r, 2) + 1 >= excess + 2
+    r = (3 + isqrt(1 + 8 * excess)) // 2
     t = excess + 2 - choose(r - 1, 2)
     assert 2 <= t <= r
     return Decomposition(r, t)
@@ -62,9 +62,7 @@ def decompose_erdos(m: int) -> Decomposition:
     """
     if m < 0:
         raise ValueError("size must be non-negative")
-    r = 1
-    while choose(r + 1, 2) <= m:
-        r += 1
+    r = (1 + isqrt(1 + 8 * m)) // 2  # the greatest r with C(r, 2) <= m
     return Decomposition(r, m - choose(r, 2))
 
 
@@ -159,16 +157,13 @@ def construct_bridge(p: int, q: int, length: int) -> Graph:
         raise ValueError(f"need p, q >= 3, got p={p}, q={q}")
     if length < 0:
         raise ValueError("path length must be non-negative")
-    g = Graph.complete(p)
-    hook = p - 1
-    for _ in range(length):
-        g = g.add_vertex([hook])
-        hook = g.n - 1
-    # cycle through `hook`: q - 1 new vertices chained, closed back
-    g = g.add_vertex([hook])
-    for _ in range(q - 2):
-        g = g.add_vertex([g.n - 1])
-    return Graph.from_edges(g.n, list(g.edges()) + [(hook, g.n - 1)])
+    n = p + length + q - 1
+    hook = p - 1 + length  # the path's far end, the cycle's one vertex on it
+    clique = ((u, v) for v in range(p) for u in range(v))
+    # one chain from the clique's last vertex: the path, then the cycle's other q - 1 vertices
+    path_and_cycle = ((v, v + 1) for v in range(p - 1, n - 1))
+    # lazy edges: from_edges rejects an order above 64 before reading any
+    return Graph.from_edges(n, chain(clique, path_and_cycle, [(hook, n - 1)]))
 
 
 def construct_b1(m: int, n: int) -> Graph:

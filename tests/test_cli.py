@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -8,7 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from cliquex import EnumerationTask, Graph, connected_graphs, from_graph6, to_graph6
+from cliquex import (
+    EnumerationTask,
+    Graph,
+    choose,
+    connected_graphs,
+    decompose_connected,
+    decompose_erdos,
+    from_graph6,
+    to_graph6,
+)
 from cliquex.cli import run
 from cliquex.enumeration import _frontier
 from conftest import MALFORMED_EDGE_LISTS
@@ -34,6 +45,19 @@ def test_decompose(capsys):
     assert code == 0 and out.strip() == "r=4 t=2"
     code, out, _ = invoke(capsys, "decompose", "--m", "7")
     assert code == 0 and out.strip() == "r=4 t=1"
+
+
+def test_bound_prints_values_past_the_int_string_limit(capsys):
+    # Python refuses to print an int of more than 4300 digits unless the
+    # limit is lifted, as run does for the whole process
+    for argv, (r, t) in [
+        (("--m", "1000000000"), decompose_erdos(10**9)),
+        (("--m", "1000000000", "--n", "50000"), decompose_connected(10**9, 50000)),
+    ]:
+        code, out, err = invoke(capsys, "bound", *argv, "--s", "20000")
+        value = choose(r, 20000) + choose(t, 19999)
+        assert (code, out, err) == (0, f"{value}\n", "")
+        assert len(out) > 4300
 
 
 def test_infeasible_exit_code(capsys):
@@ -140,6 +164,7 @@ def test_integer_options_take_ascii_digits_only(capsys, argv):
         (("verify", "s-order", "--nmax", "5", "--out", "no-such-dir/report.json"), 2),
         (("verify", "s-order", "--nmax", "5", "--out", "."), 2),
         (("verify", "s-order", "--nmax", "5", "--out", "results/"), 2),
+        (("verify", "s-order", "--nmax", "5", "--out", "a" * 300), 2),  # name too long
     ],
 )
 def test_bad_arguments_fail_before_enumerating(capsys, monkeypatch, argv, code):
@@ -153,6 +178,12 @@ def test_bad_arguments_fail_before_enumerating(capsys, monkeypatch, argv, code):
     monkeypatch.setattr(cliquex.verify, "connected_graphs", refuse)
     got, out, err = invoke(capsys, *argv)
     assert (got, out) == (code, "") and err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_report_write_error_is_a_usage_error(capsys):
+    code, out, err = invoke(capsys, "verify", "s-order", "--nmax", "4", "--out", "/dev/full")
+    assert (code, out) == (2, "") and "No space left on device" in err
 
 
 def test_edge_list_autodetect(capsys, tmp_path):
@@ -312,3 +343,91 @@ def test_stdin_stream(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(sys, "stdin", io.StringIO("Bw\nBo\n"))
     code, out, _ = invoke(capsys, "count", "--s", "3")
     assert code == 0 and out.split() == ["1", "0"]
+
+
+# sha256 of [exit code, stdout, stderr] as JSON, first 16 hex digits, for
+# each (argv, stdin), computed while cli.py still dispatched through one
+# if-chain: the help, output and errors must keep every byte. A verify
+# report's elapsed_ms is read as 0.
+TRANSCRIPTS = [
+    (("--help",), "", "8851d7042d714ac9"),
+    (("bound", "--help"), "", "421b1afc67fc10d1"),
+    (("decompose", "--help"), "", "8fb63f4c9e99cc30"),
+    (("count", "--help"), "", "3239bf0e12b2b02b"),
+    (("kernel", "--help"), "", "9253a716a322d53b"),
+    (("moments", "--help"), "", "69f51468e3ddc6bf"),
+    (("compare", "--help"), "", "201d51b39a8b4067"),
+    (("construct", "--help"), "", "d3d76b7245366f68"),
+    (("enumerate", "--help"), "", "a1d4a787ca6b3d38"),
+    (("verify", "--help"), "", "70c31ba04f914d30"),
+    (("bound", "--m", "10", "--n", "7", "--s", "3"), "", "3f61617c33c1d520"),
+    (("bound", "--m", "7", "--s", "3"), "", "3b1dbe891b9b6bcf"),
+    (("decompose", "--m", "10", "--n", "7"), "", "7cb5c7c0a8ef8885"),
+    (("decompose", "--m", "7"), "", "9a8f458406bd45c0"),
+    (("count", "--s", "3"), "D~{\nDhc\n", "0e4676a98c6f29c1"),
+    (("count", "--s", "3", "--format", "edgelist"), "# triangle\r\n0 1\r\n1 2\r\n0 2\r\n", "90f825953954db04"),
+    (("kernel", "--s", "1"), "Dhc\nD~{\n", "5f82640ea16040a4"),
+    (("moments", "--jmax", "4"), "F~qC?\n", "a0617e58c0d1aa84"),
+    (("moments",), to_graph6(Graph.complete(20)) + "\n", "3b3ba804d1c280e0"),
+    (("compare",), "G~CW__\nG~qCC?\n", "0338bba6004da6da"),
+    (("compare",), "G~qCC?\nG~qCC?\n", "35277899512e5844"),
+    (("construct", "--family", "star", "--m", "10", "--n", "7"), "", "b9cc23f96d41bc2b"),
+    (("construct", "--family", "krt", "--r", "5", "--t", "3"), "", "4c26902ee85ea0db"),
+    (("construct", "--family", "bridge", "--p", "4", "--q", "5", "--len", "2"), "", "f9463c0bf0cd36af"),
+    (("construct", "--family", "b1", "--m", "11", "--n", "8"), "", "e11f559420edef06"),
+    (("construct", "--family", "b2", "--m", "11", "--n", "8"), "", "e46cde0738a39804"),
+    (("enumerate", "--n", "5", "--m", "6"), "", "7044185bfa170a30"),
+    (("verify", "max-cliques", "--nmax", "5", "--s", "3,4"), "", "f385a61dfaf2db3a"),
+    (("verify", "extremal-kernels", "--nmax", "5", "--s", "3"), "", "c0343188ae63e127"),
+    (("verify", "s-order", "--nmax", "5"), "", "85dfdb4e197bd8a1"),
+    (("verify", "lemmas", "--nmax", "5", "--seed", "2", "--iterations", "50"), "", "0e3c7dab489a8f06"),
+    (("verify", "s-order", "--nmax", "4", "--out", "report.json"), "", "6cc431ca49b5960a"),
+    ((), "", "7e446d3ef1587651"),
+    (("bogus-subcommand",), "", "72cfb328d07b706b"),
+    (("bound", "--m", "10"), "", "cb1628a90976da86"),
+    (("bound", "--m", "3", "--n", "9", "--s", "3"), "", "5ca6c321e543c671"),
+    (("bound", "--m", "10", "--s", "2"), "", "64b1f674baad280e"),
+    (("bound", "--m", "1_0", "--n", "7", "--s", "3"), "", "be4abd27c6b0e55f"),
+    (("decompose", "--m", "+10"), "", "0999954a0e34b9e5"),
+    (("construct", "--family", "krt", "--m", "5"), "", "c0afb8b12c94089d"),
+    (("construct", "--family", "star", "--m", "10"), "", "d625ec8cdc73a5d8"),
+    (("construct", "--family", "bridge", "--q", "3"), "", "a75ad3f88a842a85"),
+    (("construct", "--family", "b2", "--m", "12", "--n", "8"), "", "89201adabecc7a04"),
+    (("construct", "--family", "wheel"), "", "a958d516ac598a0c"),
+    (("count", "--s", "3", "--input", "no-such-file.g6"), "", "2ea50cfe5540eda8"),
+    (("count", "--s", "3"), "D?\n", "6194a3adb1370aed"),
+    (("count", "--s", "3"), "Bé\n", "0fec567499f34ae4"),
+    (("count", "--s", "3"), "", "1de8ffd4a4b1131f"),
+    (("count", "--s", "3", "--format", "graph6"), "\n", "1c0079c3bd31a1d8"),
+    (("count", "--s", "3"), "0 1_0\n", "afd4f8864ca90209"),
+    (("count", "--s", "3"), "0 1000000000\n", "b26f6c586240dc1a"),
+    (("compare",), "G~qCC?\n", "7511f062d589355c"),
+    (("enumerate", "--n", "5", "--workers", "0"), "", "3b8d1948a8b17ef1"),
+    (("verify", "bogus", "--nmax", "5"), "", "4c37800afb94a1e0"),
+    (("verify", "max-cliques", "--nmax", "5", "--s", "abc"), "", "464712caf7aa0dce"),
+    (("verify", "max-cliques", "--nmax", "5", "--s", "3,٤"), "", "a2d475c9dac915d0"),
+    (("verify", "max-cliques", "--nmax", "12"), "", "1a4c7109fb38d15e"),
+    (("verify", "s-order", "--nmax", "3"), "", "4246eeb53a6dc257"),
+    (("verify", "extremal-kernels", "--nmax", "4", "--s", "5"), "", "1689c09d1cca5f2f"),
+    (("verify", "lemmas", "--nmax", "3"), "", "4246eeb53a6dc257"),
+    (("verify", "lemmas", "--nmax", "5", "--iterations", "0"), "", "1cd7906ccfca54d7"),
+    (("verify", "s-order", "--nmax", "5", "--out", "no-such-dir/report.json"), "", "72d15679569c2019"),
+    (("verify", "s-order", "--nmax", "5", "--out", "results/"), "", "d72dcf84ec8d642d"),
+]
+
+
+def transcript_digest(capsys, monkeypatch, argv, stdin) -> str:
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code, out, err = invoke(capsys, *argv)
+    out = re.sub(r'"elapsed_ms": [0-9]+', '"elapsed_ms": 0', out)
+    return hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()[:16]
+
+
+# argparse words its help and its errors differently from one Python
+# release to the next; the pins were taken under Python 3.11.
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="pins taken under Python 3.11")
+@pytest.mark.parametrize("argv, stdin, digest", TRANSCRIPTS)
+def test_transcripts_match_pins(capsys, monkeypatch, tmp_path, argv, stdin, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    assert transcript_digest(capsys, monkeypatch, argv, stdin) == digest

@@ -71,6 +71,40 @@ def test_decompose_erdos_examples_and_normalization():
         assert choose(r + 1, 2) > m
 
 
+def searched_erdos_decomposition(m):
+    """The greatest r with C(r, 2) <= m, found by counting up."""
+    r = 1
+    while choose(r + 1, 2) <= m:
+        r += 1
+    return r, m - choose(r, 2)
+
+
+def searched_connected_decomposition(m, n):
+    """The least r >= 2 with C(r-1, 2) + r >= m - n + 2, found by counting up."""
+    r = 2
+    while choose(r - 1, 2) + r < m - n + 2:
+        r += 1
+    return r, m - n + 2 - choose(r - 1, 2)
+
+
+def test_decompositions_match_their_searches():
+    for m in range(3000):
+        assert tuple(decompose_erdos(m)) == searched_erdos_decomposition(m)
+    for n in range(1, 61):
+        for m in range(n, n * (n - 1) // 2 + 1):
+            assert tuple(decompose_connected(m, n)) == searched_connected_decomposition(m, n)
+
+
+def test_decompositions_of_huge_sizes():
+    # counting r up to about 1.4 * 10^15 would not finish
+    m = 10**30
+    r, t = decompose_erdos(m)
+    assert m == choose(r, 2) + t and 0 <= t < r
+    n = 2 * 10**15  # C(n, 2) > m
+    r, t = decompose_connected(m, n)
+    assert m - n == choose(r - 1, 2) + t - 2 and 2 <= t <= r
+
+
 def test_choose_zero_convention():
     assert choose(3, 5) == 0
     assert choose(-1, 2) == 0
@@ -250,6 +284,30 @@ def test_bridge_examples():
         construct_bridge(3, 2, 0)
     with pytest.raises(ValueError):
         construct_bridge(3, 3, -1)
+    for p, q, length in [(10**6, 3, 0), (3, 10**9, 0), (3, 3, 10**9)]:  # fail at once, past 64 vertices
+        with pytest.raises(ValueError, match="outside"):
+            construct_bridge(p, q, length)
+
+
+def grown_bridge(p, q, length):
+    """The bridge grown one vertex at a time: the labelling that report
+    hashes and `cliquex construct --family bridge` pin."""
+    g = Graph.complete(p)
+    hook = p - 1
+    for _ in range(length):
+        g = g.add_vertex([hook])
+        hook = g.n - 1
+    g = g.add_vertex([hook])
+    for _ in range(q - 2):
+        g = g.add_vertex([g.n - 1])
+    return Graph.from_edges(g.n, list(g.edges()) + [(hook, g.n - 1)])
+
+
+def test_bridge_labelling_matches_vertex_by_vertex_growth():
+    for p in range(3, 9):
+        for q in range(3, 9):
+            for length in range(6):
+                assert construct_bridge(p, q, length) == grown_bridge(p, q, length)
 
 
 def test_bridge_excess_invariant_in_length():
