@@ -19,6 +19,7 @@ import os
 import re
 import string
 import sys
+from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 from typing import Iterator
@@ -139,9 +140,27 @@ _HARNESSES = {
 }
 
 
-def _bound(args: argparse.Namespace) -> list[int]:
+def _decimal_text(value: int) -> str:
+    """``str(value)`` of a nonnegative integer, subquadratic past 14000 bits
+    (4215 digits): bit halves join as hi * 2**w + lo in exact ``decimal``."""
+    if value.bit_length() <= 14000:
+        return str(value)
+    import decimal  # only for huge values
+    exact = decimal.Context(decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact, decimal.Rounded])
+    power = lru_cache(None)(lambda w: exact.power(2, w))
+
+    def convert(v: int, w: int) -> decimal.Decimal:  # v < 2**w
+        if w <= 4096:
+            return decimal.Decimal(v)
+        half = w >> 1
+        hi = exact.multiply(convert(v >> half, w - half), power(half))
+        return exact.add(hi, convert(v & ((1 << half) - 1), half))
+    return str(convert(value, value.bit_length()))
+
+
+def _bound(args: argparse.Namespace) -> list[str]:
     bound = erdos_bound(args.m, args.s) if args.n is None else max_cliques_bound(args.m, args.n, args.s)
-    return [bound]
+    return [_decimal_text(bound)]
 
 
 def _decompose(args: argparse.Namespace) -> list[str]:

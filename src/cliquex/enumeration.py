@@ -9,13 +9,13 @@ has exactly one production path, so disjoint subtrees emit disjoint
 classes and each subtree can be its own task with no shared state
 (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
 
-The parent test works on the child's adjacency rows, built from the
-parent's rows and a neighbour mask. Degree sequences compare as
-integer keys, and a deletion's key follows from the child's by
-arithmetic. Most children lose on that key alone, so the cut test
-(``graphs._is_cut_vertex``, one reachability pass) runs only for a
-deletion whose sequence is no larger than the parent's, and a
-canonical search only for a non-cut deletion that ties it.
+The parent test (``_ParentTest``) is decided from the parent and the
+child's neighbour mask. Per parent it keeps the degree key of each
+deletion parent - u (the keys packed in one integer) and the
+components of parent - u, so a child's deletion keys and cut
+verdicts follow from the mask. Most children lose on the key alone;
+rows are built only for a mask that passes, and a canonical search
+runs only for a non-cut deletion whose key ties the parent's.
 Twins (vertices with the same neighbours apart from each other) are
 used twice. Swapping two twins of the parent is an automorphism, so
 only the least neighbour mask of each twin orbit is tried. A tied
@@ -44,7 +44,8 @@ from .extremal import feasible_size
 from .graphs import (
     CanonicalForm,
     Graph,
-    _is_cut_vertex,
+    _bits,
+    _reach,
     _without_vertex,
     are_twins,
     canonical_form,
@@ -79,60 +80,74 @@ def _degree_key(degrees: Iterable[int]) -> int:
     return sum(1 << 4 * k for k in degrees)
 
 
-def _is_canonical_child(rows: tuple[int, ...], parent_key: int,
-                        parent_code: CanonicalForm) -> bool:
-    """Parent test: did the child with adjacency ``rows`` come from its
-    canonical parent (the last vertex deleted, of degree key
-    ``parent_key`` and code ``parent_code``)?
+class _ParentTest:
+    """Did the child with neighbour mask ``mask`` (vertex k joined to the
+    parent's vertices in the mask) come from its canonical parent: is k a
+    non-cutvertex u minimizing (degree sequence, canonical form) of
+    child - u? Lane u (bits 64u up) of a packed key is child - u's."""
 
-    The canonical parent is the deletion of the non-cutvertex u
-    minimizing (degree sequence of child - u, canonical form of
-    child - u); the new vertex is never a cut vertex. Sequences are
-    compared first, as degree keys, so the cut test runs only on a
-    vertex whose deletion could beat the parent, and a canonical search
-    only on a non-cut vertex that ties it.
-    """
-    k = len(rows) - 1
-    power = [1 << 4 * row.bit_count() for row in rows]
-    key = sum(power)
-    tied = []
-    for u in range(k):
-        # child - u: u's term goes, and each neighbour's degree drops by one
-        rest = key - power[u]
-        nbrs = rows[u]
-        while nbrs:
-            bit = nbrs & -nbrs
-            nbrs ^= bit
-            p = power[bit.bit_length() - 1]
-            rest -= p - (p >> 4)
-        if rest > parent_key:
-            continue
-        if rest == parent_key:
-            tied.append(u)
-        elif not _is_cut_vertex(rows, u):
-            return False
-    return all(
-        are_twins(rows, u, k)  # swapping u and k maps child - u onto the parent
-        or _is_cut_vertex(rows, u)
-        or canonical_form(_without_vertex(rows, u)) >= parent_code
-        for u in tied
-    )
+    def __init__(self, parent: Graph) -> None:
+        adj, k, degrees = parent.adj, parent.n, parent.degrees()
+        self.adj, self.key, self.code = adj, _degree_key(degrees), canonical_form(parent)
+        self.ones = sum(1 << 64 * u for u in range(k))
+        # every lane's top bit, and the bias that clears it where a lane's key is below the parent's
+        self.high, self.bias = self.ones << 63, ((1 << 63) - self.key) * self.ones
+        # lane u of weights[v]: 15 times v's term in key(parent - u), its gain when v joins the new vertex
+        self.weights = [sum(15 << 4 * (d - (row >> u & 1)) + 64 * u for u in range(k) if u != v)
+                        for v, (d, row) in enumerate(zip(degrees, adj))]
+        self.base = sum(self.weights) // 15  # lane u: the key of parent - u
+        self.parts = []  # parts[u]: the components of parent - u if u is a cut vertex, else none
+        for u in range(k):
+            left, parts = ((1 << k) - 1) ^ (1 << u), []
+            while left:
+                parts.append(_reach(adj, left & -left, left))
+                left ^= parts[-1]
+            self.parts.append(parts if len(parts) > 1 else [])
 
+    def keys(self, mask: int) -> int:
+        """Lane u: key(parent - u) + 15 * 16**deg_{parent-u}(v) per v in mask - u + 16**|mask - u|."""
+        keys, spread, rest = self.base, 0, mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            keys += self.weights[v]
+            spread |= 1 << 64 * v
+        top = 1 << 4 * mask.bit_count()
+        return keys + top * self.ones - (top - (top >> 4)) * spread
 
-def _edge_budget_ok(order: int, size: int, n: int, m: int | None) -> bool:
-    if m is None:
-        return True
-    lo = size + (n - order)
-    hi = size + n * (n - 1) // 2 - order * (order - 1) // 2
-    return lo <= m <= hi
+    def is_cut(self, u: int, mask: int) -> bool:
+        """Is u a cut vertex of the child: mask - u empty or missing a part of parent - u? Not in K2."""
+        rest = mask & ~(1 << u)
+        return len(self.adj) > 1 and (not rest or not all(map(rest.__and__, self.parts[u])))
+
+    def child_rows(self, mask: int) -> tuple[int, ...] | None:
+        """The child's rows if it passes the test, else None."""
+        keys = self.keys(mask)
+        less = rest = ~(keys + self.bias) & self.high  # the lanes below the parent's key
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if not self.is_cut((bit.bit_length() - 1) >> 6, mask):
+                return None
+        tied = ~(keys + self.bias - self.ones) & self.high ^ less  # the lanes equal to it
+        k = len(self.adj)
+        rows = tuple(row | (mask >> u & 1) << k for u, row in enumerate(self.adj)) + (mask,)
+        for u in (b >> 6 for b in _bits(tied)):
+            if not (are_twins(rows, u, k)  # swapping u and k maps child - u onto the parent
+                    or self.is_cut(u, mask)
+                    or canonical_form(_without_vertex(rows, u)) >= self.code):
+                return None
+        return rows
 
 
 def _children(parent: Graph, n: int, m: int | None) -> Iterator[Graph]:
     """Accepted children of one parent, deduplicated within the parent."""
-    parent_code = canonical_form(parent)
-    parent_key = _degree_key(parent.degrees())
-    k = parent.n
-    e = parent.m
+    test = _ParentTest(parent)
+    k, e = parent.n, parent.m
+    # mask sizes in the edge budget: the n - k - 1 vertices to come add at least
+    # one edge each, and at most every edge not among the first k + 1 vertices
+    fewest, most = (1, k) if m is None else (m - e - n * (n - 1) // 2 + k * (k + 1) // 2, m - e - n + k + 1)
     # Masks in one orbit of the parent's twin swaps give isomorphic children
     # with one verdict; the least of the orbit takes a prefix of each class.
     prefixes: dict[int, list[int]] = {}  # least member of a twin class: its prefix masks
@@ -145,10 +160,10 @@ def _children(parent: Graph, n: int, m: int | None) -> Iterator[Graph]:
         masks = [mask | p for mask in masks for p in prefix]
     seen: set[CanonicalForm] = set()
     for mask in sorted(masks)[1:]:
-        if not _edge_budget_ok(k + 1, e + mask.bit_count(), n, m):
+        if not fewest <= mask.bit_count() <= most:
             continue
-        rows = tuple(row | (((mask >> u) & 1) << k) for u, row in enumerate(parent.adj)) + (mask,)
-        if not _is_canonical_child(rows, parent_key, parent_code):
+        rows = test.child_rows(mask)
+        if rows is None:
             continue
         child = Graph._trusted(k + 1, rows)
         code = canonical_form(child)

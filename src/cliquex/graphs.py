@@ -12,8 +12,8 @@ result is still a graph.
 
 Every structure query uses one reachability pass, ``_reach`` (the
 vertices reached from a start bit inside a vertex mask): connectivity,
-and ``_is_cut_vertex``, which serves ``articulation_points`` and the
-engine's parent test. ``_without_vertex`` is the one vertex deletion.
+``_is_cut_vertex`` for ``articulation_points``, and the components
+the engine's parent test keeps. ``_without_vertex`` deletes a vertex.
 
 An isomorphism class is named by the graph6 record of its canonical
 labeling (``canonical_form``), and ``canonical_graph`` decodes that
@@ -327,10 +327,11 @@ def canonical_form(g: Graph) -> CanonicalForm:
     Positions are pre-assigned degrees (nonincreasing), so only
     permutations listing vertices in sorted-degree order compete; at
     each depth only candidates realizing the minimal adjacency column
-    branch. Twins collapse to a single branch. Each node extends every
-    column by the bit of the vertex just placed, and a partial bit
-    field is pruned against the best field's prefix. Exact for
-    n <= 12; highly symmetric graphs near that cap can be slow.
+    branch. Twins collapse to a single branch. Position i is bit n-1-i
+    of a column, so placing a vertex sets one bit in its unplaced
+    neighbours' columns. A partial bit field is pruned against the best
+    field's prefix. Exact for n <= 12; highly symmetric graphs near
+    that cap can be slow.
     """
     n = g.n
     if n > MAX_CANONICAL_VERTICES:
@@ -346,10 +347,10 @@ def canonical_form(g: Graph) -> CanonicalForm:
     best: int | None = None
 
     def dfs(d: int, unplaced: int, cols: list[int], field: int) -> None:
-        # cols[u]: u's adjacency to the placed vertices, position 0 first
+        # cols[u]: u's adjacency to the placed vertices, position i at bit n-1-i
         nonlocal best
         cands = cells[d] & unplaced
-        low = 1 << d  # above every column of d bits
+        low = 1 << n  # above every column
         while cands:
             bit = cands & -cands
             cands ^= bit
@@ -359,16 +360,21 @@ def canonical_form(g: Graph) -> CanonicalForm:
                 low, branch = col, [u]
             elif col == low:
                 branch.append(u)
-        field = (field << d) | low
+        field = (field << d) | (low >> (n - d))  # the column's d bits
         if best is not None and field > best >> shift[d]:
             return
         if d == n - 1:
             best = field
             return
+        placed = 1 << (n - 1 - d)
         for u in _twin_skip(g, branch) if len(branch) > 1 else branch:
-            row = adj[u]
-            dfs(d + 1, unplaced ^ (1 << u),
-                [(col << 1) | ((row >> v) & 1) for v, col in enumerate(cols)], field)
+            nxt = cols.copy()
+            nbrs = adj[u] & unplaced
+            while nbrs:
+                bit = nbrs & -nbrs
+                nbrs ^= bit
+                nxt[bit.bit_length() - 1] |= placed
+            dfs(d + 1, unplaced ^ (1 << u), nxt, field)
 
     if n:
         dfs(0, (1 << n) - 1, [0] * n, 0)

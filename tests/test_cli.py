@@ -20,7 +20,7 @@ from cliquex import (
     from_graph6,
     to_graph6,
 )
-from cliquex.cli import run
+from cliquex.cli import _decimal_text, run
 from cliquex.enumeration import _frontier
 from conftest import MALFORMED_EDGE_LISTS
 
@@ -58,6 +58,22 @@ def test_bound_prints_values_past_the_int_string_limit(capsys):
         value = choose(r, 20000) + choose(t, 19999)
         assert (code, out, err) == (0, f"{value}\n", "")
         assert len(out) > 4300
+
+
+def test_long_values_print_as_str_does():
+    lifts = hasattr(sys, "set_int_max_str_digits")  # Python 3.10.7 and later
+    if lifts:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # for str() of the values past the limit
+    try:
+        values = [0, 1, 2**14000 - 1, 2**14000, 2**14001, 3**209590 + 12345]  # the last: 100000 digits
+        values += [10**k - d for k in (1, 4299, 4300, 4301, 20000, 65537) for d in (0, 1)]
+        for value in values:
+            assert _decimal_text(value) == str(value), value.bit_length()
+        assert len(str(values[5])) == 100000
+    finally:
+        if lifts:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_infeasible_exit_code(capsys):

@@ -22,10 +22,10 @@ from cliquex.enumeration import (
     _children,
     _degree_key,
     _frontier,
-    _is_canonical_child,
+    _ParentTest,
     map_partitions,
 )
-from cliquex.graphs import _without_vertex, are_twins
+from cliquex.graphs import _is_cut_vertex, _without_vertex, are_twins
 from conftest import as_networkx
 from labeled_oracle import labeled_classes
 from polya_oracle import connected_counts, graph_counts
@@ -71,10 +71,12 @@ def test_parent_test_matches_reference_rule():
         grown = []
         for parent in level:
             code = canonical_form(parent)
-            key = _degree_key(parent.degrees())
+            test = _ParentTest(parent)
             for mask in range(1, 1 << k):
                 child = parent.add_vertex(u for u in range(k) if (mask >> u) & 1)
-                verdict = _is_canonical_child(child.adj, key, code)
+                rows = test.child_rows(mask)
+                assert rows in (None, child.adj)
+                verdict = rows is not None
                 assert verdict == reference_is_canonical_child(child, code), (parent, mask)
                 tried += 1
                 accepted += verdict
@@ -90,6 +92,29 @@ def test_parent_test_matches_reference_rule():
     assert len(level) == CONNECTED_TOTALS[7]
     # tried: sum over orders k <= 6 of (classes of order k) * (2^k - 1)
     assert (tried, accepted) == (7815, 1628)
+
+
+def test_parent_test_arithmetic_matches_the_rows():
+    """For every parent of order 1 to 6 in the n = 7 tree, every
+    neighbour mask and every parent vertex u, the packed key of child - u
+    is the degree key of the deleted rows, and the cut verdict from the
+    parent's components is the reachability pass's on the child's rows."""
+    level = [Graph(1, (0,))]
+    checked = 0
+    for k in range(1, 7):
+        for parent in level:
+            test = _ParentTest(parent)
+            for mask in range(1, 1 << k):
+                rows = parent.add_vertex(u for u in range(k) if (mask >> u) & 1).adj
+                keys = test.keys(mask)
+                assert keys >> 64 * k == 0, (parent, mask)
+                for u in range(k):
+                    lane = keys >> 64 * u & (1 << 64) - 1  # lane u: bits 64u to 64u + 63
+                    assert lane == _degree_key(_without_vertex(rows, u).degrees()), (parent, mask, u)
+                    assert test.is_cut(u, mask) == _is_cut_vertex(rows, u), (parent, mask, u)
+                    checked += 1
+        level = [child for parent in level for child in _children(parent, 7, None)]
+    assert checked == sum(CONNECTED_TOTALS[k] * ((1 << k) - 1) * k for k in range(1, 7)) == 46000
 
 
 @st.composite

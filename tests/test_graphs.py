@@ -398,6 +398,22 @@ def test_canonical_form_matches_reference(case):
     assert canonical_form(relabeled) == reference_canonical_form(relabeled)
 
 
+def test_canonical_form_matches_reference_at_the_order_cap(rng):
+    # a column keeps position 0 at its top bit, and only orders 11 and 12
+    # use the widest columns the search allows
+    petersen_pendants = Graph.from_edges(12, PETERSEN_EDGES + [(0, 10), (5, 11)])
+    k66 = Graph.from_edges(12, [(u, v) for u in range(6) for v in range(6, 12)])
+    cases = [Graph.empty(0), Graph.empty(1), k66, Graph.cycle(12), petersen_pendants]
+    cases += [random_graph(rng, n, p) for n in (11, 12) for p in (0.3, 0.5, 0.7) for _ in range(2)]
+    for g in cases:
+        code = reference_canonical_form(g)
+        for _ in range(4):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            relabeled = g.relabel(perm)
+            assert canonical_form(relabeled) == reference_canonical_form(relabeled) == code
+
+
 def test_canonical_form_order_cap():
     with pytest.raises(ValueError):
         canonical_form(Graph.empty(13))
