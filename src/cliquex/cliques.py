@@ -1,9 +1,10 @@
 """Exact s-clique counting on bitmask graphs.
 
-Cliques are counted (never listed) by one recursion over neighborhood
-bitmasks, which grows each clique in increasing vertex order and so
-visits it once; every public count reads from it. Counts are exact
-integers; with n <= 64 they stay far below any overflow concern.
+Cliques are counted (never listed) by one loop over an explicit stack
+of neighborhood bitmasks, which grows each clique in increasing vertex
+order and so visits it once; every public count reads from it. Counts
+are exact integers; with n <= 64 they stay far below any overflow
+concern.
 """
 
 from __future__ import annotations
@@ -13,20 +14,23 @@ from .graphs import Graph
 
 def _clique_counts(adj: tuple[int, ...], candidates: int, s_max: int) -> list[int]:
     """[k_0, ..., k_{s_max}] of the graph induced on the candidates
-    mask, for s_max >= 1. Each candidate extends the current clique by
-    one vertex, so the last depth adds its candidates at once."""
-    counts = [1] + [0] * s_max
-
-    def grow(cands: int, size: int) -> None:
-        counts[size] += cands.bit_count()
-        if size == s_max:
-            return
+    mask, for s_max >= 1. A stack entry (cands, size) holds the common
+    neighbours, above its last vertex, of one (size - 1)-clique; each
+    makes a size-clique, already counted. Taken in increasing order, a
+    candidate and the later ones adjacent to it give the entry of the
+    next size, pushed only below s_max."""
+    counts = [1, candidates.bit_count()] + [0] * (s_max - 1)
+    stack = [(candidates, 1)] if s_max > 1 else []
+    while stack:
+        cands, size = stack.pop()
+        size += 1
         while cands:
             low = cands & -cands
             cands ^= low
-            grow(cands & adj[low.bit_length() - 1], size + 1)
-
-    grow(candidates, 1)
+            grown = cands & adj[low.bit_length() - 1]
+            counts[size] += grown.bit_count()
+            if size < s_max and grown:
+                stack.append((grown, size))
     return counts
 
 
@@ -43,7 +47,7 @@ def count_s_cliques(g: Graph, s: int) -> int:
 
 
 def clique_counts_upto(g: Graph, s_max: int) -> tuple[int, ...]:
-    """(k_1, ..., k_{s_max}) in one recursive sweep."""
+    """(k_1, ..., k_{s_max}) in one sweep."""
     if s_max < 1:
         raise ValueError("clique order must be at least 1")
     return tuple(_clique_counts(g.adj, (1 << g.n) - 1, s_max)[1:])

@@ -35,6 +35,9 @@ MAX_VERTICES = 64
 
 # Canonicalization is exact permutation search (pruned); keep it honest.
 MAX_CANONICAL_VERTICES = 12
+# _SHIFTS[n][d]: the bits of an order-n field after the columns of positions 0..d
+_SHIFTS = [[n * (n - 1) // 2 - d * (d + 1) // 2 for d in range(n)]
+           for n in range(MAX_CANONICAL_VERTICES + 1)]
 
 #: Relabeling-invariant encoding, equal exactly for isomorphic graphs: the
 #: graph6 record of the canonical labeling. Codes of one order sort by
@@ -330,54 +333,59 @@ def canonical_form(g: Graph) -> CanonicalForm:
     branch. Twins collapse to a single branch. Position i is bit n-1-i
     of a column, so placing a vertex sets one bit in its unplaced
     neighbours' columns. A partial bit field is pruned against the best
-    field's prefix. Exact for n <= 12; highly symmetric graphs near
-    that cap can be slow.
+    field's prefix. The search is one loop over an explicit stack: a
+    node walks down its first branch in place and pushes the others,
+    each on a copy of the columns, to pop in ascending vertex order.
+    Exact for n <= 12; highly symmetric graphs near that cap can be slow.
     """
     n = g.n
     if n > MAX_CANONICAL_VERTICES:
         raise ValueError(f"canonical form limited to n <= {MAX_CANONICAL_VERTICES}")
     adj = g.adj
-    seq = g.degree_sequence()
-    by_degree = dict.fromkeys(seq, 0)
-    for u, row in enumerate(adj):
-        by_degree[row.bit_count()] |= 1 << u
-    cells = [by_degree[k] for k in seq]  # cells[d]: the vertices of degree seq[d]
-    # shift[d]: the bits of a full field after the columns of positions 0..d
-    shift = [n * (n - 1) // 2 - d * (d + 1) // 2 for d in range(n)]
+    degs = [row.bit_count() for row in adj]
+    by_degree = dict.fromkeys(degs, 0)
+    for u, k in enumerate(degs):
+        by_degree[k] |= 1 << u
+    cells = [by_degree[k] for k in sorted(degs, reverse=True)]  # cells[d]: position d's candidates
+    shift = _SHIFTS[n]
     best: int | None = None
-
-    def dfs(d: int, unplaced: int, cols: list[int], field: int) -> None:
-        # cols[u]: u's adjacency to the placed vertices, position i at bit n-1-i
-        nonlocal best
-        cands = cells[d] & unplaced
-        low = 1 << n  # above every column
-        while cands:
-            bit = cands & -cands
-            cands ^= bit
-            u = bit.bit_length() - 1
-            col = cols[u]
-            if col < low:
-                low, branch = col, [u]
-            elif col == low:
-                branch.append(u)
-        field = (field << d) | (low >> (n - d))  # the column's d bits
-        if best is not None and field > best >> shift[d]:
-            return
-        if d == n - 1:
-            best = field
-            return
-        placed = 1 << (n - 1 - d)
-        for u in _twin_skip(g, branch) if len(branch) > 1 else branch:
-            nxt = cols.copy()
-            nbrs = adj[u] & unplaced
+    # a node: depth d, the unplaced vertices, cols[u] (u's adjacency to the placed
+    # vertices, position i at bit n-1-i), the field so far, and the neighbours of
+    # the vertex at position d - 1 whose columns still lack its bit
+    stack = [(0, (1 << n) - 1, [0] * n, 0, 0)] if n else []
+    while stack:
+        d, unplaced, cols, field, nbrs = stack.pop()
+        while True:
+            placed = 1 << (n - d)  # the bit of position d - 1
             while nbrs:
                 bit = nbrs & -nbrs
                 nbrs ^= bit
-                nxt[bit.bit_length() - 1] |= placed
-            dfs(d + 1, unplaced ^ (1 << u), nxt, field)
-
-    if n:
-        dfs(0, (1 << n) - 1, [0] * n, 0)
+                cols[bit.bit_length() - 1] |= placed
+            cands = cells[d] & unplaced
+            low = 1 << n  # above every column
+            while cands:
+                bit = cands & -cands
+                cands ^= bit
+                u = bit.bit_length() - 1
+                col = cols[u]
+                if col < low:
+                    low, branch = col, [u]
+                elif col == low:
+                    branch.append(u)
+            field = (field << d) | (low >> (n - d))  # the column's d bits
+            if best is not None and field > best >> shift[d]:
+                break
+            if d == n - 1:
+                best = field
+                break
+            if len(branch) > 1:
+                branch = _twin_skip(g, branch)
+                for u in branch[:0:-1]:  # each later branch on its own copy
+                    rest = unplaced ^ (1 << u)
+                    stack.append((d + 1, rest, cols.copy(), field, adj[u] & rest))
+            unplaced ^= 1 << branch[0]  # the first branch goes on in place
+            nbrs = adj[branch[0]] & unplaced
+            d += 1
     return _graph6(n, best or 0)  # n = 0: the empty field
 
 

@@ -337,7 +337,7 @@ def _noncut_vertex_holds(g: Graph, core: Graph) -> bool | None:
     r, _ = decompose_connected(g.m, g.n)
     if r < 3:
         return None
-    if canonical_form(core) == canonical_form(Graph.complete(r + 1)):
+    if core.n == r + 1 and core.m == choose(r + 1, 2):  # the (r+1)-clique
         return True
     cuts = core.articulation_points()
     return any(core.degree(u) <= r - 1 for u in range(core.n) if u not in cuts)

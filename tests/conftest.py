@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cliquex import EnumerationTask, Graph, connected_graphs
+from cliquex import EnumerationTask, Graph, canonical_form, connected_graphs
 
 
 # Edge lists that must not parse: records split on "\n" only (RS, FS, VT and
@@ -44,9 +44,19 @@ def rng() -> random.Random:
 
 
 @pytest.fixture(scope="session")
-def order_eight_classes() -> list[Graph]:
+def order_eight_pass() -> tuple[list[Graph], int]:
+    """Every connected class of order 8, from one enumeration pass that
+    starts with an empty canonical cache, and the canonical searches
+    (cache misses) that pass ran."""
+    canonical_form.cache_clear()
+    classes = list(connected_graphs(EnumerationTask(8)))
+    return classes, canonical_form.cache_info().misses
+
+
+@pytest.fixture(scope="session")
+def order_eight_classes(order_eight_pass) -> list[Graph]:
     """Every connected class of order 8, from one enumeration pass."""
-    return list(connected_graphs(EnumerationTask(8)))
+    return order_eight_pass[0]
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ from cliquex import (
     count_s_cliques,
     deletion_identity_check,
 )
+from cliquex.cliques import _clique_counts
 from conftest import random_graph
 
 
@@ -88,6 +89,28 @@ def test_monotone_under_edge_addition(rng):
         bigger = Graph.from_edges(g.n, list(g.edges()) + [(u, v)])
         for s in range(1, 6):
             assert count_s_cliques(bigger, s) >= count_s_cliques(g, s)
+
+
+def test_counts_of_any_candidate_mask_match_subset_oracle(rng):
+    """The shared counting loop on any candidate mask (empty, one
+    vertex, the whole graph, random) and every s_max up to the order,
+    against every subset of the mask."""
+    for n in range(11):
+        for _ in range(4):
+            g = random_graph(rng, n, rng.random())
+            masks = {0, (1 << n) - 1, *(1 << u for u in range(n))}
+            masks |= {rng.randrange(1 << n) for _ in range(6)}
+            for mask in sorted(masks):
+                inside = [u for u in range(n) if mask >> u & 1]
+                oracle = [
+                    sum(
+                        all(g.has_edge(u, v) for u, v in combinations(subset, 2))
+                        for subset in combinations(inside, s)
+                    )
+                    for s in range(max(n, 1) + 1)
+                ]
+                for s_max in range(1, len(oracle)):
+                    assert _clique_counts(g.adj, mask, s_max) == oracle[: s_max + 1], (mask, s_max)
 
 
 def test_deletion_identity_examples():

@@ -147,10 +147,12 @@ def _yield_order_sha256(graphs):
     return hashlib.sha256("\n".join(to_graph6(g) for g in graphs).encode()).hexdigest()
 
 
-def test_generation_tree_unchanged(order_eight_classes):
-    """The number of canonical searches at n = 7 and the unsorted yield
-    order at n = 7 and n = 8 pin the generation tree itself, which the
-    sorted class digests cannot see."""
+def test_generation_tree_unchanged(order_eight_pass):
+    """The number of canonical searches and the unsorted yield order at
+    n = 7 and n = 8 pin the generation tree itself, which the sorted
+    class digests cannot see."""
+    order_eight_classes, order_eight_searches = order_eight_pass
+    assert order_eight_searches == 17494
     canonical_form.cache_clear()
     graphs = list(connected_graphs(EnumerationTask(7)))
     assert canonical_form.cache_info().misses == 1598
