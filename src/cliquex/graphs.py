@@ -227,15 +227,7 @@ class Graph:
             raise ValueError("induced subgraph needs a nonempty vertex set")
         if keep[0] < 0 or keep[-1] >= self.n:
             raise ValueError(f"vertex set not within 0..{self.n - 1}")
-        pos = {v: i for i, v in enumerate(keep)}
-        rows = []
-        for v in keep:
-            row = 0
-            for w in _bits(self.adj[v]):
-                if w in pos:
-                    row |= 1 << pos[w]
-            rows.append(row)
-        return Graph(len(keep), tuple(rows))
+        return self._induced(keep)
 
     def remove_vertex(self, v: int) -> "Graph":
         if not 0 <= v < self.n:
@@ -258,13 +250,14 @@ class Graph:
         p = list(perm)
         if sorted(p) != list(range(self.n)):
             raise ValueError("not a permutation of the vertex set")
-        rows = [0] * self.n
-        for u in range(self.n):
-            row = 0
-            for v in _bits(self.adj[u]):
-                row |= 1 << p[v]
-            rows[p[u]] = row
-        return Graph(self.n, tuple(rows))
+        return self._induced(sorted(range(self.n), key=p.__getitem__))
+
+    def _induced(self, order: list[int]) -> "Graph":
+        """The subgraph induced on ``order``, vertex order[i] becoming vertex i."""
+        pos = {v: i for i, v in enumerate(order)}
+        return Graph._trusted(len(order), tuple(
+            sum(1 << pos[w] for w in _bits(self.adj[v]) if w in pos) for v in order
+        ))
 
 
 # ── reachability and deletion on adjacency rows ───────────────────

@@ -11,8 +11,12 @@ the cell keys and the one witness rule. Each lemma suite is a stream
 of checks, one (ok, witnesses) pair per check with ok None for no
 check, and `verify_lemma_suite` folds every stream into its rows.
 
-s-order folds k_3 per cell, then ranks only the triangle maximizers by
-moments: S_0..S_2 are fixed per (n, m), and S_3 = 6 k_3 is checked.
+The three theorem harnesses read one walk, `_clique_grid`, which folds
+the clique counts once per order and yields each feasible (n, m, s)
+cell with its maximum and attaining graphs. s-order ranks only the k_3
+maximizers by moments: S_0..S_2 are fixed per (n, m), and S_3 = 6 k_3
+is checked. `connected_graphs` yields one graph per class, so graphs it
+yielded are counted and compared as they are, never by canonical form.
 """
 
 from __future__ import annotations
@@ -115,8 +119,8 @@ def _check_n_max(n_max: int, lowest: int) -> None:
         )
 
 
-def _clique_orders(s_values: set[int]) -> list[int]:
-    svals = sorted(s_values)
+def _clique_orders(s_values: set[int]) -> tuple[int, ...]:
+    svals = tuple(sorted(s_values))
     if not svals or svals[0] < 3:
         raise ValueError("clique orders must be given, and orders below 3 are out of scope")
     return svals
@@ -139,6 +143,17 @@ def _moment_gallery(k3: int, triangles: list[Graph]) -> tuple[list[Graph], list[
 # ── Theorem harness: maximum clique counts ────────────────────────
 
 
+def _clique_grid(lowest: int, n_max: int, svals: tuple[int, ...], workers: int
+                 ) -> Iterator[tuple[int, int, int, int, list[Graph]]]:
+    """(n, m, s, maximum k_s, every class attaining it) for each feasible
+    cell of orders lowest..n_max, in (n, m, s) order, from one fold."""
+    folded = argmax_fold(range(lowest, n_max + 1), partial(_clique_cells, svals), workers)
+    for n, cells in folded.items():
+        for m in range(n - 1, n * (n - 1) // 2 + 1):
+            for s in svals:
+                yield n, m, s, *cells[(m, s)]
+
+
 def verify_max_cliques(
     n_max: int, s_values: set[int], workers: int = 1, seed: int = 0
 ) -> VerificationReport:
@@ -148,15 +163,9 @@ def verify_max_cliques(
     report = VerificationReport("max-cliques", seed=seed)
     svals = _clique_orders(s_values)
     _check_n_max(n_max, 3)
-    folded = argmax_fold(range(3, n_max + 1), partial(_clique_cells, tuple(svals)), workers)
-    for n, cells in folded.items():
-        for m in range(n - 1, n * (n - 1) // 2 + 1):
-            for s in svals:
-                observed, attain = cells[(m, s)]
-                predicted = max_cliques_bound(m, n, s)
-                report.grid.append(
-                    _cell(n, m, s, predicted, observed, observed == predicted, attain)
-                )
+    for n, m, s, observed, attain in _clique_grid(3, n_max, svals, workers):
+        predicted = max_cliques_bound(m, n, s)
+        report.grid.append(_cell(n, m, s, predicted, observed, observed == predicted, attain))
     report.elapsed_ms = int((time.perf_counter() - start) * 1000)
     return report
 
@@ -189,20 +198,13 @@ def verify_extremal_kernels(
     report = VerificationReport("extremal-kernels", seed=seed)
     svals = _clique_orders(s_values)
     _check_n_max(n_max, svals[0])  # n < s leaves no room for the excess the kernel needs
-    folded = argmax_fold(range(3, n_max + 1), partial(_clique_cells, tuple(svals)), workers)
-    for n, cells in folded.items():
-        for m in range(n - 1, n * (n - 1) // 2 + 1):
-            r, t = decompose_connected(m, n)
-            for s in svals:
-                if m - n < choose(s, 2) - s:
-                    continue
-                _, extremal = cells[(m, s)]
-                allowed = _allowed_kernel_codes(n, r, t, s)
-                bad = [
-                    g for g in extremal if canonical_form(kernel(g, s - 2)) not in allowed
-                ]
-                report.grid.append(_cell(n, m, s, len(extremal), len(extremal) - len(bad),
-                                         not bad, bad or extremal))
+    for n, m, s, _, extremal in _clique_grid(3, n_max, svals, workers):
+        if m - n < choose(s, 2) - s:
+            continue
+        allowed = _allowed_kernel_codes(n, *decompose_connected(m, n), s)
+        bad = [g for g in extremal if canonical_form(kernel(g, s - 2)) not in allowed]
+        report.grid.append(_cell(n, m, s, len(extremal), len(extremal) - len(bad),
+                                 not bad, bad or extremal))
     report.elapsed_ms = int((time.perf_counter() - start) * 1000)
     return report
 
@@ -219,25 +221,25 @@ def verify_s_order_last(n_max: int, workers: int = 1, seed: int = 0) -> Verifica
     start = time.perf_counter()
     report = VerificationReport("s-order-last", seed=seed)
     _check_n_max(n_max, 4)
-    for n, cells in argmax_fold(range(4, n_max + 1), partial(_clique_cells, (3,)), workers).items():
-        for m in range(n, n * (n - 1) // 2 + 1):
-            gallery, broken = _moment_gallery(*cells[(m, 3)])
-            classes = {canonical_form(g) for g in gallery}
-            star = construct_extremal_star(m, n)
-            ties = gallery if len(classes) > 1 else ()
-            ok = classes == {canonical_form(star)} and not broken
-            cell = _cell(n, m, 0, 1, len(classes), ok, broken or gallery, ties)
-            r, t = decompose_connected(m, n)
-            if t == 2 and r >= 3 and n >= r + 2:
-                bridge = construct_b2(m, n)
-                rel = s_order_compare(bridge, star)
-                cell["b_pair"] = {
-                    "b1": to_graph6(star),
-                    "b2": to_graph6(bridge),
-                    "relation": rel.relation,
-                    "first_differing_index": rel.first_differing_index,
-                }
-            report.grid.append(cell)
+    for n, m, _, k3, triangles in _clique_grid(4, n_max, (3,), workers):
+        if m < n:  # trees
+            continue
+        gallery, broken = _moment_gallery(k3, triangles)
+        star = construct_extremal_star(m, n)
+        ties = gallery if len(gallery) > 1 else ()
+        ok = len(gallery) == 1 and canonical_form(gallery[0]) == canonical_form(star) and not broken
+        cell = _cell(n, m, 0, 1, len(gallery), ok, broken or gallery, ties)
+        r, t = decompose_connected(m, n)
+        if t == 2 and r >= 3 and n >= r + 2:
+            bridge = construct_b2(m, n)
+            rel = s_order_compare(bridge, star)
+            cell["b_pair"] = {
+                "b1": to_graph6(star),
+                "b2": to_graph6(bridge),
+                "relation": rel.relation,
+                "first_differing_index": rel.first_differing_index,
+            }
+        report.grid.append(cell)
     report.elapsed_ms = int((time.perf_counter() - start) * 1000)
     return report
 
@@ -354,31 +356,25 @@ def _star_maximizes_s4(h: Graph, family: list[Graph], n: int) -> tuple[bool, lis
     argmax = [g for g in family if fourth[id(g)] == best]
     target = (base[0] + n - k,) + tuple(base[1:]) + (1,) * (n - k)
     expected = [g for g in family if g.degree_sequence() == target]
-    same = {canonical_form(g) for g in argmax} == {canonical_form(g) for g in expected}
-    return bool(same and expected), argmax
+    return bool(expected) and argmax == expected, argmax  # both in family order
 
 
 def _exhaustive_suites(n_max: int) -> Iterator[tuple[str, bool | None, list[Graph]]]:
     """(lemma, ok, witnesses) checks of the noncut-low-degree-vertex,
     clique-free-band and pendant-star-maximizes-s4 suites, from one
     enumeration pass per order 2..n_max."""
-    cores: dict[CanonicalForm, Graph] = {}  # graphs on 3..5 vertices that are their own 2-core
     for n in range(2, n_max + 1):
-        families: dict[CanonicalForm, list[Graph]] = {}  # order-n graphs by 2-core
+        families: dict[CanonicalForm, tuple[Graph, list[Graph]]] = {}  # order-n graphs by 2-core
         for g in connected_graphs(EnumerationTask(n)):
             core = kernel(g, 1)
             yield "noncut-low-degree-vertex", _noncut_vertex_holds(g, core), [g]
             for s in (3, 4, 5):  # below the excess threshold no s-clique can exist
                 if g.m - g.n <= choose(s, 2) - s - 1:
                     yield "clique-free-band", count_s_cliques(g, s) == 0, [g]
-            if 3 <= n <= 5 and core.n == n:
-                cores[canonical_form(g)] = g
             if n <= 7 and 0 < core.n <= 5 and core.n < n:
-                families.setdefault(canonical_form(core), []).append(g)
-        for code, h in sorted(cores.items()):
-            family = families.get(code)
-            if family and h.n < n:
-                yield "pendant-star-maximizes-s4", *_star_maximizes_s4(h, family, n)
+                families.setdefault(canonical_form(core), (core, []))[1].append(g)
+        for code in sorted(families):
+            yield "pendant-star-maximizes-s4", *_star_maximizes_s4(*families[code], n)
 
 
 def _suite_kernel_order_independence(rng: random.Random, graphs: int, orders: int) -> _Checks:

@@ -141,6 +141,21 @@ def test_s_order_cell_breaking_the_triangle_identity_is_a_mismatch(monkeypatch):
     assert len(cells[(5, 5)]["witnesses"]) > cells[(5, 5)]["observed"] == 1
 
 
+def test_s_order_cells_with_moment_ties_are_mismatches(monkeypatch):
+    import cliquex.verify as verify
+
+    full = verify.moment_sequence
+    # S_0..S_3 alone leave several triangle maximizers tied in 7 of the 19 cells
+    monkeypatch.setattr(verify, "moment_sequence", lambda g: full(g)[:4])
+    report = verify_s_order_last(6)
+    tied = [cell for cell in report.grid if cell["ties"]]
+    assert (len(report.grid), len(tied)) == (19, 7)
+    assert report.mismatches == tied
+    for cell in tied:
+        assert cell["ties"] == cell["witnesses"]
+        assert cell["observed"] == len(cell["ties"]) > 1
+
+
 def test_lemma_suite_all_pass():
     report = verify_lemma_suite(seed=7, iterations=200, n_max=6)
     assert not report.mismatches
@@ -287,6 +302,25 @@ def test_mismatched_lemma_row_keeps_every_witness(monkeypatch):
     assert len(row["witnesses"]) == 50 > verify.WITNESS_CAP
     assert row["witnesses"] == sorted(row["witnesses"])
     assert rows["deletion-identity"]["status"] == "match"
+
+
+def test_pendant_star_row_fails_when_s4_is_negated_or_flat(monkeypatch):
+    import cliquex.verify as verify
+    from cliquex.spectral import MomentVector
+
+    moments = verify.spectral_moments
+    # negated, S_4 is minimized by the pendant star; flat, every graph of a
+    # family ties, so only families of pendant stars alone still pass
+    for fourth, observed, witnesses in ((lambda s4: -s4, 5, 16), (lambda s4: 0, 5, 48)):
+        def changed(g, j_max, fourth=fourth):
+            s = moments(g, j_max).s
+            return MomentVector(g.n, (*s[:4], fourth(s[4]), *s[5:]))
+
+        monkeypatch.setattr(verify, "spectral_moments", changed)
+        rows = {cell["lemma"]: cell for cell in verify_lemma_suite(0, 50, 6).grid}
+        row = rows["pendant-star-maximizes-s4"]
+        assert (row["status"], row["predicted"], row["observed"]) == ("mismatch", 20, observed)
+        assert len(row["witnesses"]) == witnesses
 
 
 def test_theorem_mismatches_keep_every_witness(monkeypatch):
