@@ -6,17 +6,19 @@ runs to completion. Reports are deterministic for fixed inputs (seed
 and worker count included) once the timing field is ignored, and
 every witness re-verifies in isolation from its graph6 string.
 
-Every report cell, theorem or lemma, is built by `_cell`, which owns
-the cell keys and the one witness rule. Each lemma suite is a stream
-of checks, one (ok, witnesses) pair per check with ok None for no
-check, and `verify_lemma_suite` folds every stream into its rows.
+`_report` builds every report once, from a lazy stream of cells that it
+times. `_cell` builds every cell and owns its keys and the witness rule.
+A lemma suite is a stream of (ok, witnesses) checks, ok None for no
+check, and `_lemma_rows` folds every stream into its rows.
 
-The three theorem harnesses read one walk, `_clique_grid`, which folds
-the clique counts once per order and yields each feasible (n, m, s)
-cell with its maximum and attaining graphs. s-order ranks only the k_3
-maximizers by moments: S_0..S_2 are fixed per (n, m), and S_3 = 6 k_3
-is checked. `connected_graphs` yields one graph per class, so graphs it
-yielded are counted and compared as they are, never by canonical form.
+The theorem reports are views of one walk, `_clique_grid`, which checks
+the order cap, folds the clique counts once per order and yields each
+feasible (n, m, s) point with its maximum and attaining graphs; a view
+maps a point to its cell, or to None where its theorem claims nothing.
+s-order ranks only the k_3 maximizers by moments: S_0..S_2 are fixed per
+(n, m), and S_3 = 6 k_3 is checked. `connected_graphs` yields one graph
+per class, so graphs it yielded are counted and compared as they are,
+never by canonical form.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import random
 import time
 from collections.abc import Iterable, Iterator
 from functools import partial
-from itertools import chain
+from itertools import chain, starmap
 
 from .cliques import clique_counts_upto, count_s_cliques, deletion_identity_check
 from .enumeration import MAX_EXHAUSTIVE_ORDER, EnumerationTask, argmax_fold, connected_graphs
@@ -66,16 +68,17 @@ class VerificationReport:
     def mismatches(self) -> list[dict]:
         return [cell for cell in self.grid if cell["status"] != "match"]
 
-    def to_dict(self, timing: bool = True) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "grid": self.grid,
-            "seed": self.seed,
-            "elapsed_ms": self.elapsed_ms if timing else 0,
-        }
-
     def to_json(self, timing: bool = True) -> str:
-        return json.dumps(self.to_dict(timing), sort_keys=True, indent=2)
+        body = {"theorem_id": self.theorem_id, "grid": self.grid, "seed": self.seed,
+                "elapsed_ms": self.elapsed_ms if timing else 0}
+        return json.dumps(body, sort_keys=True, indent=2)
+
+
+def _report(theorem_id: str, seed: int, cells: Iterable[dict | None]) -> VerificationReport:
+    """The report over a lazy stream of cells, None meaning no cell, timed while it runs."""
+    start = time.perf_counter()
+    grid = [cell for cell in cells if cell is not None]
+    return VerificationReport(theorem_id, grid, seed, int((time.perf_counter() - start) * 1000))
 
 
 def _cell(n: int, m: int, s: int, predicted: int, observed: int, ok: bool,
@@ -147,6 +150,7 @@ def _clique_grid(lowest: int, n_max: int, svals: tuple[int, ...], workers: int
                  ) -> Iterator[tuple[int, int, int, int, list[Graph]]]:
     """(n, m, s, maximum k_s, every class attaining it) for each feasible
     cell of orders lowest..n_max, in (n, m, s) order, from one fold."""
+    _check_n_max(n_max, lowest)
     folded = argmax_fold(range(lowest, n_max + 1), partial(_clique_cells, svals), workers)
     for n, cells in folded.items():
         for m in range(n - 1, n * (n - 1) // 2 + 1):
@@ -154,20 +158,17 @@ def _clique_grid(lowest: int, n_max: int, svals: tuple[int, ...], workers: int
                 yield n, m, s, *cells[(m, s)]
 
 
-def verify_max_cliques(
-    n_max: int, s_values: set[int], workers: int = 1, seed: int = 0
-) -> VerificationReport:
+def _max_cliques_cell(n: int, m: int, s: int, observed: int, attain: list[Graph]) -> dict:
+    predicted = max_cliques_bound(m, n, s)
+    return _cell(n, m, s, predicted, observed, observed == predicted, attain)
+
+
+def verify_max_cliques(n_max: int, s_values: set[int], workers: int = 1,
+                       seed: int = 0) -> VerificationReport:
     """Enumerated maxima of k_s versus the closed-form bound, for every
     order up to n_max and every feasible size."""
-    start = time.perf_counter()
-    report = VerificationReport("max-cliques", seed=seed)
-    svals = _clique_orders(s_values)
-    _check_n_max(n_max, 3)
-    for n, m, s, observed, attain in _clique_grid(3, n_max, svals, workers):
-        predicted = max_cliques_bound(m, n, s)
-        report.grid.append(_cell(n, m, s, predicted, observed, observed == predicted, attain))
-    report.elapsed_ms = int((time.perf_counter() - start) * 1000)
-    return report
+    cells = _clique_grid(3, n_max, _clique_orders(s_values), workers)
+    return _report("max-cliques", seed, starmap(_max_cliques_cell, cells))
 
 
 # ── Theorem harness: kernels of extremal graphs ───────────────────
@@ -178,38 +179,50 @@ def _allowed_kernel_codes(n: int, r: int, t: int, s: int) -> set[CanonicalForm]:
     if t <= s - 2:
         return {canonical_form(Graph.complete(r))}
     allowed = {canonical_form(construct_krt(r, t))}
-    if s == 3 and t == 2 and r >= 3:
-        length = 0
-        while r + 3 + length - 1 <= n:
+    if s == 3 and t == 2 and r >= 3:  # every bridge B(r, 3, length) with r + 2 + length <= n
+        for length in range(n - r - 1):
             allowed.add(canonical_form(construct_bridge(r, 3, length)))
-            length += 1
     return allowed
 
 
-def verify_extremal_kernels(
-    n_max: int, s_values: set[int], workers: int = 1, seed: int = 0
-) -> VerificationReport:
+def _kernel_cell(n: int, m: int, s: int, _: int, extremal: list[Graph]) -> dict | None:
+    if m - n < choose(s, 2) - s:  # below the excess threshold no kernel is predicted
+        return None
+    allowed = _allowed_kernel_codes(n, *decompose_connected(m, n), s)
+    bad = [g for g in extremal if canonical_form(kernel(g, s - 2)) not in allowed]
+    return _cell(n, m, s, len(extremal), len(extremal) - len(bad), not bad, bad or extremal)
+
+
+def verify_extremal_kernels(n_max: int, s_values: set[int], workers: int = 1,
+                            seed: int = 0) -> VerificationReport:
     """Each cell checks that every graph attaining the clique maximum
     peels down to the predicted kernel form: the r-clique, the
     t-augmented r-clique, or (clique order 3, t = 2) a clique-cycle
     bridge. predicted/observed count the extremal graphs expected and
     found in the allowed families."""
-    start = time.perf_counter()
-    report = VerificationReport("extremal-kernels", seed=seed)
-    svals = _clique_orders(s_values)
-    _check_n_max(n_max, svals[0])  # n < s leaves no room for the excess the kernel needs
-    for n, m, s, _, extremal in _clique_grid(3, n_max, svals, workers):
-        if m - n < choose(s, 2) - s:
-            continue
-        allowed = _allowed_kernel_codes(n, *decompose_connected(m, n), s)
-        bad = [g for g in extremal if canonical_form(kernel(g, s - 2)) not in allowed]
-        report.grid.append(_cell(n, m, s, len(extremal), len(extremal) - len(bad),
-                                 not bad, bad or extremal))
-    report.elapsed_ms = int((time.perf_counter() - start) * 1000)
-    return report
+    svals = _clique_orders(s_values)  # below order svals[0] no cell reaches the excess threshold
+    cells = _clique_grid(svals[0], n_max, svals, workers)
+    return _report("extremal-kernels", seed, starmap(_kernel_cell, cells))
 
 
 # ── Theorem harness: last graph in the moment order ───────────────
+
+
+def _s_order_cell(n: int, m: int, _: int, k3: int, triangles: list[Graph]) -> dict | None:
+    if m < n:  # trees
+        return None
+    gallery, broken = _moment_gallery(k3, triangles)
+    star = construct_extremal_star(m, n)
+    ties = gallery if len(gallery) > 1 else ()
+    ok = len(gallery) == 1 and canonical_form(gallery[0]) == canonical_form(star) and not broken
+    cell = _cell(n, m, 0, 1, len(gallery), ok, broken or gallery, ties)
+    r, t = decompose_connected(m, n)
+    if t == 2 and r >= 3 and n >= r + 2:
+        bridge = construct_b2(m, n)
+        rel = s_order_compare(bridge, star)
+        cell["b_pair"] = {"b1": to_graph6(star), "b2": to_graph6(bridge), "relation": rel.relation,
+                          "first_differing_index": rel.first_differing_index}
+    return cell
 
 
 def verify_s_order_last(n_max: int, workers: int = 1, seed: int = 0) -> VerificationReport:
@@ -218,30 +231,8 @@ def verify_s_order_last(n_max: int, workers: int = 1, seed: int = 0) -> Verifica
     witness is a mismatch, and so is S_3 != 6 k_3 on a triangle maximizer
     (those are then the witnesses). In t = 2 cells wide enough to host
     it, the bridge competitor is compared and recorded under "b_pair"."""
-    start = time.perf_counter()
-    report = VerificationReport("s-order-last", seed=seed)
-    _check_n_max(n_max, 4)
-    for n, m, _, k3, triangles in _clique_grid(4, n_max, (3,), workers):
-        if m < n:  # trees
-            continue
-        gallery, broken = _moment_gallery(k3, triangles)
-        star = construct_extremal_star(m, n)
-        ties = gallery if len(gallery) > 1 else ()
-        ok = len(gallery) == 1 and canonical_form(gallery[0]) == canonical_form(star) and not broken
-        cell = _cell(n, m, 0, 1, len(gallery), ok, broken or gallery, ties)
-        r, t = decompose_connected(m, n)
-        if t == 2 and r >= 3 and n >= r + 2:
-            bridge = construct_b2(m, n)
-            rel = s_order_compare(bridge, star)
-            cell["b_pair"] = {
-                "b1": to_graph6(star),
-                "b2": to_graph6(bridge),
-                "relation": rel.relation,
-                "first_differing_index": rel.first_differing_index,
-            }
-        report.grid.append(cell)
-    report.elapsed_ms = int((time.perf_counter() - start) * 1000)
-    return report
+    cells = _clique_grid(4, n_max, (3,), workers)
+    return _report("s-order-last", seed, starmap(_s_order_cell, cells))
 
 
 # ── Lemma property suites ─────────────────────────────────────────
@@ -395,17 +386,16 @@ def _suite_deletion_identity(rng: random.Random, iterations: int) -> _Checks:
         yield lhs == rhs, [g]
 
 
-def verify_lemma_suite(
-    seed: int, iterations: int = 1000, n_max: int = 7
-) -> VerificationReport:
+def verify_lemma_suite(seed: int, iterations: int = 1000, n_max: int = 7) -> VerificationReport:
     """Randomized and exhaustive property suites for the supporting
     lemmas, under one fixed seed. One grid row per suite; predicted is
     the number of checks run and observed the number that held. A row
     that ran no check is a mismatch, never a vacuous pass."""
-    start = time.perf_counter()
     _check_n_max(n_max, 4)
-    report = VerificationReport("lemma-suite", seed=seed)
-    rng = random.Random(seed)
+    return _report("lemma-suite", seed, _lemma_rows(random.Random(seed), iterations, n_max))
+
+
+def _lemma_rows(rng: random.Random, iterations: int, n_max: int) -> Iterator[dict]:
     # the suites draw from rng in this order, each to its end before the next starts
     drawn = {
         "excess-kernel-agreement": _suite_excess_kernels(rng, min(iterations, 300)),
@@ -434,6 +424,4 @@ def verify_lemma_suite(
             row[2] += witnesses
     for lemma, (passes, checks, witnesses) in rows.items():
         cell = _cell(n_max, 0, 0, checks, passes, passes == checks > 0, witnesses)
-        report.grid.append({"lemma": lemma, **cell})
-    report.elapsed_ms = int((time.perf_counter() - start) * 1000)
-    return report
+        yield {"lemma": lemma, **cell}

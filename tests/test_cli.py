@@ -79,6 +79,9 @@ def test_long_values_print_as_str_does():
 def test_infeasible_exit_code(capsys):
     code, _, err = invoke(capsys, "bound", "--m", "3", "--n", "9", "--s", "3")
     assert code == 3 and "no connected graph" in err
+    for argv in (("bound", "--m", "-1", "--s", "3"), ("decompose", "--m", "-1")):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 3 and "size must be non-negative" in err
     code, _, _ = invoke(capsys, "construct", "--family", "b2", "--m", "12", "--n", "8")
     assert code == 3
 
@@ -173,6 +176,8 @@ def test_integer_options_take_ascii_digits_only(capsys, argv):
         (("verify", "max-cliques", "--nmax", "5", "--s", ","), 2),
         (("verify", "max-cliques", "--nmax", "12"), 3),
         (("verify", "max-cliques", "--nmax", "2"), 3),
+        (("verify", "max-cliques", "--nmax", "5", "--s", "2"), 3),
+        (("verify", "extremal-kernels", "--nmax", "5", "--s", "1,3"), 3),
         (("verify", "s-order", "--nmax", "3"), 3),
         (("verify", "extremal-kernels", "--nmax", "4", "--s", "5"), 3),
         (("verify", "lemmas", "--nmax", "3"), 3),

@@ -96,6 +96,10 @@ def test_rejects_out_of_range():
         Graph.from_edges(2, [(0, 5)])
     with pytest.raises(ValueError):
         Graph(65, (0,) * 65)
+    with pytest.raises(ValueError):
+        Graph(2, (2,))  # one row for two vertices
+    with pytest.raises(ValueError):
+        Graph.cycle(2)
 
 
 @pytest.mark.parametrize("build", [Graph.empty, lambda n: Graph.from_edges(n, [(0, n - 1)])])
@@ -165,6 +169,10 @@ def test_induced_subgraph_errors():
         Graph.complete(3).induced_subgraph([0, 3])
     with pytest.raises(ValueError):
         Graph.complete(3).remove_vertex(3)
+    with pytest.raises(ValueError):
+        Graph.path(3).add_vertex([5])
+    with pytest.raises(ValueError):
+        Graph.path(3).relabel([0, 0, 1])
 
 
 def test_articulation_examples():
@@ -219,6 +227,10 @@ def test_graph6_parse_errors_are_distinct():
         from_graph6("")
     with pytest.raises(Graph6HeaderError):
         from_graph6("~~??????")  # 8-byte order form is beyond the cap
+    with pytest.raises(Graph6HeaderError):
+        from_graph6("~??")  # the 4-byte order form cut short
+    with pytest.raises(Graph6HeaderError):
+        from_graph6("~!!!")  # order bytes below the alphabet
     with pytest.raises(Graph6AlphabetError):
         from_graph6("B\x1f")  # right length, data byte below the alphabet
     with pytest.raises(Graph6Error):

@@ -174,6 +174,10 @@ def test_realize_error_cases():
         realize_with_kernel(Graph.path(3), (3, 2, 2, 1, 1), 5)
     with pytest.raises(ValueError, match="connected"):
         realize_with_kernel(Graph.empty(3), (3, 2, 2, 1, 1), 5)
+    with pytest.raises(ValueError, match="expected 5 target degrees"):
+        realize_with_kernel(Graph.cycle(3), (3, 2, 2), 5)
+    with pytest.raises(ValueError, match="positive"):
+        realize_with_kernel(Graph.cycle(3), (4, 2, 2, 1, 0), 5)
 
 
 def test_realize_randomized_contract(rng):
@@ -251,3 +255,9 @@ def test_d_transformation_rejects_inadmissible():
         d_transformation(Graph.cycle(4), 1)  # no pendants at all
     with pytest.raises(ValueError):
         d_transformation(Graph.path(4), 1)  # empty 2-core
+    triangle_and_edge = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    with pytest.raises(ValueError, match="graph must be connected"):
+        d_transformation(triangle_and_edge, 1)
+    triangle_and_path = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4)])
+    with pytest.raises(ValueError, match=r"position must lie in 1\.\.2"):
+        d_transformation(triangle_and_path, 5)

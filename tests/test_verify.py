@@ -237,6 +237,8 @@ def test_each_harness_enumerates_each_order_once_per_slice(monkeypatch, pool_log
         for run, orders in (
             (lambda: verify_max_cliques(5, {3, 4}, workers), range(3, 6)),
             (lambda: verify_extremal_kernels(5, {3, 4}, workers), range(3, 6)),
+            # the walk starts at the least clique order
+            (lambda: verify_extremal_kernels(5, {4, 5}, workers), range(4, 6)),
             (lambda: verify_s_order_last(5, workers), range(4, 6)),
         ):
             calls.clear()
@@ -281,6 +283,10 @@ def test_reports_match_pinned_hashes():
          "5085517f834ca445de7260890294b420ffb536d05e3fee19a7fb1026f95d6312"),
         (verify_extremal_kernels(6, {3, 4}),
          "c169da7553028736d2ae2198ca6804b9e3a219296eaaf5f9f07d72f8af3857e8"),
+        (verify_extremal_kernels(6, {4, 5}),
+         "3199f19b248edcab3e2c6c685dc42cf2762903d5eaa55250ba87ead9fd2fb99c"),
+        (verify_max_cliques(6, {4, 5}),
+         "b2256848da403f9288f98db920f6bd7d66c8f71c3e856f1a138c5bf0f225c3c2"),
         (verify_s_order_last(6),
          "3b6dfcff5624f4c0021b3c4151e6e6c4a562ecae7c582dae01f5a2e10189ab96"),
         (verify_s_order_last(7),
@@ -290,6 +296,15 @@ def test_reports_match_pinned_hashes():
     ):
         body = report.to_json(timing=False).encode()
         assert hashlib.sha256(body).hexdigest() == digest, report.theorem_id
+
+
+def test_excess_iteration_without_connected_subgraph_fails(monkeypatch):
+    import random
+
+    import cliquex.verify as verify
+
+    monkeypatch.setattr(Graph, "induced_subgraph", lambda g, vertices: Graph(0, ()))
+    assert list(verify._suite_excess_kernels(random.Random(0), 3)) == [(False, [])] * 3
 
 
 def test_mismatched_lemma_row_keeps_every_witness(monkeypatch):
