@@ -176,8 +176,6 @@ def test_integer_options_take_ascii_digits_only(capsys, argv):
         (("verify", "max-cliques", "--nmax", "5", "--s", ","), 2),
         (("verify", "max-cliques", "--nmax", "12"), 3),
         (("verify", "max-cliques", "--nmax", "2"), 3),
-        (("verify", "max-cliques", "--nmax", "5", "--s", "2"), 3),
-        (("verify", "extremal-kernels", "--nmax", "5", "--s", "1,3"), 3),
         (("verify", "s-order", "--nmax", "3"), 3),
         (("verify", "extremal-kernels", "--nmax", "4", "--s", "5"), 3),
         (("verify", "lemmas", "--nmax", "3"), 3),
@@ -186,6 +184,8 @@ def test_integer_options_take_ascii_digits_only(capsys, argv):
         (("verify", "s-order", "--nmax", "5", "--out", "."), 2),
         (("verify", "s-order", "--nmax", "5", "--out", "results/"), 2),
         (("verify", "s-order", "--nmax", "5", "--out", "a" * 300), 2),  # name too long
+        (("verify", "max-cliques", "--nmax", "5", "--s", "2"), 3),
+        (("verify", "extremal-kernels", "--nmax", "5", "--s", "1,3"), 3),
     ],
 )
 def test_bad_arguments_fail_before_enumerating(capsys, monkeypatch, argv, code):
