@@ -192,8 +192,8 @@ def _construct(args: argparse.Namespace) -> list[str]:
 
 
 def _enumerate(args: argparse.Namespace) -> list[str]:
-    parts = map_partitions(_graph6_lines, [args.n], args.m, args.workers)[args.n]
-    return sorted(chain.from_iterable(parts))
+    parts = map_partitions(_graph6_lines, [args.n], args.m, args.workers)
+    return sorted(chain.from_iterable(lines for _, lines in parts))
 
 
 def _verify(args: argparse.Namespace) -> VerificationReport:

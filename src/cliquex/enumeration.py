@@ -25,9 +25,9 @@ Children and tied deletions of a valid parent are valid by
 construction and skip ``Graph`` validation.
 
 ``argmax_fold`` is the one fold over the classes of each order.
-``map_partitions`` runs one pass per order in process or, for
-``workers > 1``, one task per frontier root of every order on one
-pool of at most the CPU count of processes, dealt out one task at a
+``map_partitions`` makes one task per frontier root of each order at
+every worker count, and runs them in process or, for ``workers > 1``,
+on one pool of at most the CPU count of processes, one task at a
 time. It imports the pool only then, so serial enumeration and every
 command that does not enumerate never load ``multiprocessing``.
 The engine's oracles (labeled enumeration, Pólya counting and the
@@ -201,25 +201,24 @@ def connected_graphs(task: EnumerationTask) -> Iterator[Graph]:
 
 
 def map_partitions(fn: Callable[[EnumerationTask], Any], orders: Iterable[int],
-                   m: int | None = None, workers: int = 1) -> dict[int, list]:
-    """{n: ``fn`` applied to each task of order n, in task order}. With
-    ``workers == 1`` each order is one task, run in process. Otherwise
-    each frontier root of each order is a task, and every task goes to
-    one pool of at most the CPU count of processes (``fn`` must then be
-    picklable); the tasks do not depend on ``workers``."""
-    whole = [EnumerationTask(n, m) for n in orders]
-    if workers == 1:
-        return {task.n: [fn(task)] for task in whole}
+                   m: int | None = None, workers: int = 1) -> Iterator[tuple[int, Any]]:
+    """(n, ``fn`` of the task) for each task, in task order: one task per
+    frontier root of each distinct order n, every order checked before
+    any task runs. The tasks do not depend on ``workers``, which only
+    picks where they run: in process, one at a time as the stream is
+    read, or on one pool of at most the CPU count of processes (``fn``
+    must then be picklable)."""
+    whole = [EnumerationTask(n, m) for n in dict.fromkeys(orders)]
     tasks = [EnumerationTask(t.n, m, (root,)) for t in whole for root in _frontier(t.n, m)]
+    if workers == 1:
+        yield from ((task.n, fn(task)) for task in tasks)
+        return
     from multiprocessing import Pool  # not at import: serial runs never load it
 
-    out: dict[int, list] = {task.n: [] for task in whole}
     # The default start method forks on Linux, which is safe here: no thread
     # runs yet, and the workers start with the frontier's canonical forms cached.
     with Pool(min(workers, os.cpu_count() or 1)) as pool:
-        for task, result in zip(tasks, pool.imap(fn, tasks, chunksize=1)):
-            out[task.n].append(result)
-    return out
+        yield from zip([task.n for task in tasks], pool.imap(fn, tasks, chunksize=1))
 
 
 def _keep_max(best: dict, cell: Hashable, value, graphs: list[Graph]) -> None:
@@ -245,14 +244,12 @@ def argmax_fold(orders: Iterable[int], cells: Callable[[Graph], Iterable[tuple[H
     connected graphs of each order n, where ``cells(g)`` yields the
     (cell, value) pairs of one graph.
 
-    Tasks merge in task order by the same rule, so the maxima and the
-    attaining lists, in the serial yield order, do not depend on
-    ``workers``.
+    Each task's part merges by the same rule as it arrives, in task
+    order, so the maxima and the attaining lists, in the yield order of
+    one whole-order pass, do not depend on ``workers``.
     """
-    folded = {}
-    for n, parts in map_partitions(partial(_fold_task, cells), orders, workers=workers).items():
-        best = folded[n] = {}
-        for part in parts:
-            for cell, (value, graphs) in part.items():
-                _keep_max(best, cell, value, graphs)
+    folded: dict[int, dict] = {n: {} for n in orders}
+    for n, part in map_partitions(partial(_fold_task, cells), folded, workers=workers):
+        for cell, (value, graphs) in part.items():
+            _keep_max(folded[n], cell, value, graphs)
     return folded

@@ -360,6 +360,24 @@ def test_cli_import_loads_only_what_commands_run():
     assert {f"cliquex.{name}" for name in TRACED_MODULES} <= set(loaded)
 
 
+def test_serial_commands_never_load_the_process_pool():
+    script = """
+import contextlib, io, json, sys
+from cliquex.cli import run
+for argv in (["enumerate", "--n", "6"], ["verify", "max-cliques", "--nmax", "5"],
+             ["verify", "lemmas", "--nmax", "5", "--iterations", "10"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv) == 0, argv
+print(json.dumps(sorted(sys.modules)))
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=ROOT, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert [name for name in loaded if name.split(".")[0] == "multiprocessing"] == []
+
+
 def test_stdin_stream(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(sys, "stdin", io.StringIO("Bw\nBo\n"))
     code, out, _ = invoke(capsys, "count", "--s", "3")

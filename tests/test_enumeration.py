@@ -315,8 +315,8 @@ def test_worker_partition_is_a_partition():
     assert class_codes(1) == {canonical_form(Graph(1, (0,)))}
 
 
-def _roots(task):
-    return task.roots
+def _task_key(task):
+    return task.n, task.m, task.roots
 
 
 def _task_codes(task):
@@ -327,20 +327,33 @@ def test_pool_size_is_capped_at_the_cpu_count(monkeypatch, pool_log):
     import cliquex.enumeration as enumeration
 
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    parts = map_partitions(_task_codes, [5], workers=64)[5]
+    stream = list(map_partitions(_task_codes, [5], workers=64))
     # one pool, capped at the CPU count, dealt the tasks one at a time
     assert [entry[:2] for entry in pool_log] == [("pool", 2), ("imap", 1)]
+    assert [n for n, _ in stream] == [5] * len(stream)
+    parts = [part for _, part in stream]
     assert [roots for roots, _ in parts] == [(root,) for root in _frontier(5, None)]
     assert set().union(*(codes for _, codes in parts)) == class_codes(5)
     assert sum(len(codes) for _, codes in parts) == CONNECTED_TOTALS[5]
 
 
 def test_task_list_does_not_depend_on_workers(pool_log):
-    for workers in (2, 64):
-        map_partitions(_roots, [8], workers=workers)
-    (_, _, few), (_, _, many) = (entry for entry in pool_log if entry[0] == "imap")
-    assert few == many == [(8, None, (root,)) for root in _frontier(8, None)]
-    assert len(few) == 112
+    tasks = [(8, None, (root,)) for root in _frontier(8, None)]
+    assert len(tasks) == 112
+    # in process, the tasks run one by one as the stream is read; on the pool they are dealt out
+    serial, few, many = (list(map_partitions(_task_key, [8], workers=w)) for w in (1, 2, 64))
+    assert serial == few == many == [(8, task) for task in tasks]
+    assert [entry[2] for entry in pool_log if entry[0] == "imap"] == [tasks, tasks]
+    ran = []
+    assert next(map_partitions(ran.append, [8])) == (8, None) and len(ran) == 1
+
+
+def test_every_order_is_checked_before_any_task_runs(pool_log):
+    for workers in (1, 2):
+        calls = []
+        with pytest.raises(ValueError):
+            list(map_partitions(calls.append, [5, 10], workers=workers))
+        assert calls == [] and pool_log == []
 
 
 def test_tasks_pickle_for_the_worker_pool():
@@ -436,6 +449,13 @@ def test_argmax_fold_partition_invariance():
         value, witnesses = argmax_fold([6], _triangle_cells, workers)[6][8]
         assert value == best
         assert sorted(canonical_form(g) for g in witnesses) == base_codes
+
+
+def test_a_repeated_order_is_folded_once():
+    once = argmax_fold([5], _triangle_cells)
+    assert len(once[5][8][1]) == 1  # the one triangle maximizer of (5, 8)
+    for workers in (1, 2):
+        assert argmax_fold([5, 5], _triangle_cells, workers) == once
 
 
 def test_argmax_fold_order_invariance():

@@ -244,14 +244,10 @@ def test_each_harness_enumerates_each_order_once_per_slice(monkeypatch, pool_log
             calls.clear()
             pool_log.clear()
             assert not run().mismatches
-            pools = [entry for entry in pool_log if entry[0] == "pool"]
-            if workers == 1:  # one whole-tree pass per order, in process
-                assert calls == [(n, None, None) for n in orders]
-                assert pools == []
-            else:  # each frontier root of each order once, on one pool
-                assert calls == [(n, None, (root,)) for n in orders
-                                 for root in enumeration._frontier(n, None)]
-                assert len(pools) == 1
+            # each frontier root of each order once, on one pool only when workers > 1
+            assert calls == [(n, None, (root,)) for n in orders
+                             for root in enumeration._frontier(n, None)]
+            assert len([entry for entry in pool_log if entry[0] == "pool"]) == (workers > 1)
     calls.clear()
     assert not verify_lemma_suite(seed=0, iterations=20, n_max=5).mismatches
     assert calls == [(n, None, None) for n in range(2, 6)]
