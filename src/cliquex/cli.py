@@ -136,7 +136,7 @@ _HARNESSES = {
     "max-cliques": lambda args: verify_max_cliques(args.nmax, args.s, args.workers, args.seed),
     "extremal-kernels": lambda args: verify_extremal_kernels(args.nmax, args.s, args.workers, args.seed),
     "s-order": lambda args: verify_s_order_last(args.nmax, args.workers, args.seed),
-    "lemmas": lambda args: verify_lemma_suite(args.seed, args.iterations, args.nmax),
+    "lemmas": lambda args: verify_lemma_suite(args.seed, args.iterations, args.nmax, args.workers),
 }
 
 
@@ -196,10 +196,6 @@ def _enumerate(args: argparse.Namespace) -> list[str]:
     return sorted(chain.from_iterable(lines for _, lines in parts))
 
 
-def _verify(args: argparse.Namespace) -> VerificationReport:
-    return _HARNESSES[args.target](args)
-
-
 _INT = {"type": _integer}
 _REQUIRED_INT = {"type": _integer, "required": True}
 _WORKERS = {"type": _positive_int, "default": 1}
@@ -245,7 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
     })
     command("enumerate", "one graph6 line per isomorphism class", _enumerate,
             {"--n": _REQUIRED_INT, "--m": _INT, "--workers": _WORKERS})
-    command("verify", "run a theorem harness and emit a JSON report", _verify, {
+    command("verify", "run a theorem harness and emit a JSON report",
+            lambda args: _HARNESSES[args.target](args), {
         "target": {"choices": tuple(_HARNESSES)},
         "--nmax": _REQUIRED_INT,
         "--s": {"type": _parse_clique_orders, "default": "3", "help": "comma-separated clique orders"},

@@ -8,8 +8,9 @@ every witness re-verifies in isolation from its graph6 string.
 
 `_report` builds every report once, from a lazy stream of cells that it
 times. `_cell` builds every cell and owns its keys and the witness rule.
-A lemma suite is a stream of (ok, witnesses) checks, ok None for no
-check, and `_lemma_rows` folds every stream into its rows.
+A lemma suite is a stream of (ok, witnesses) checks, ok None for no check;
+the exhaustive ones run per frontier-root task on `map_partitions` and return
+tallies and pendant-star families, which `_lemma_rows` merges in task order.
 
 The theorem reports are views of one walk, `_clique_grid`, which checks
 the order cap, folds the clique counts once per order and yields each
@@ -28,10 +29,10 @@ import random
 import time
 from collections.abc import Iterable, Iterator
 from functools import partial
-from itertools import chain, starmap
+from itertools import starmap
 
 from .cliques import clique_counts_upto, count_s_cliques, deletion_identity_check
-from .enumeration import MAX_EXHAUSTIVE_ORDER, EnumerationTask, argmax_fold, connected_graphs
+from .enumeration import MAX_EXHAUSTIVE_ORDER, EnumerationTask, argmax_fold, connected_graphs, map_partitions
 from .extremal import (
     choose,
     construct_b2,
@@ -350,22 +351,28 @@ def _star_maximizes_s4(h: Graph, family: list[Graph], n: int) -> tuple[bool, lis
     return bool(expected) and argmax == expected, argmax  # both in family order
 
 
-def _exhaustive_suites(n_max: int) -> Iterator[tuple[str, bool | None, list[Graph]]]:
-    """(lemma, ok, witnesses) checks of the noncut-low-degree-vertex,
-    clique-free-band and pendant-star-maximizes-s4 suites, from one
-    enumeration pass per order 2..n_max."""
-    for n in range(2, n_max + 1):
-        families: dict[CanonicalForm, tuple[Graph, list[Graph]]] = {}  # order-n graphs by 2-core
-        for g in connected_graphs(EnumerationTask(n)):
-            core = kernel(g, 1)
-            yield "noncut-low-degree-vertex", _noncut_vertex_holds(g, core), [g]
-            for s in (3, 4, 5):  # below the excess threshold no s-clique can exist
-                if g.m - g.n <= choose(s, 2) - s - 1:
-                    yield "clique-free-band", count_s_cliques(g, s) == 0, [g]
-            if n <= 7 and 0 < core.n <= 5 and core.n < n:
-                families.setdefault(canonical_form(core), (core, []))[1].append(g)
-        for code in sorted(families):
-            yield "pendant-star-maximizes-s4", *_star_maximizes_s4(*families[code], n)
+def _tally(row: list, ok: bool | None, witnesses: list[Graph]) -> None:
+    """Add one check to a [passes, checks, witnesses of the failed checks] tally; None is no check."""
+    if ok is not None:
+        row[0] += ok
+        row[1] += 1
+        row[2] += [] if ok else witnesses
+
+
+def _exhaustive_task(task: EnumerationTask) -> tuple[dict[str, list], dict]:
+    """One root task's noncut-low-degree-vertex and clique-free-band tallies,
+    and for n <= 7 its pendant-star families: (2-core, graphs) by core code."""
+    tallies = {"noncut-low-degree-vertex": [0, 0, []], "clique-free-band": [0, 0, []]}
+    families: dict[CanonicalForm, tuple[Graph, list[Graph]]] = {}
+    for g in connected_graphs(task):
+        core = kernel(g, 1)
+        _tally(tallies["noncut-low-degree-vertex"], _noncut_vertex_holds(g, core), [g])
+        for s in (3, 4, 5):  # below the excess threshold no s-clique can exist
+            if g.m - g.n <= choose(s, 2) - s - 1:
+                _tally(tallies["clique-free-band"], count_s_cliques(g, s) == 0, [g])
+        if task.n <= 7 and 0 < core.n <= 5 and core.n < task.n:
+            families.setdefault(canonical_form(core), (core, []))[1].append(g)
+    return tallies, families
 
 
 def _suite_kernel_order_independence(rng: random.Random, graphs: int, orders: int) -> _Checks:
@@ -386,17 +393,19 @@ def _suite_deletion_identity(rng: random.Random, iterations: int) -> _Checks:
         yield lhs == rhs, [g]
 
 
-def verify_lemma_suite(seed: int, iterations: int = 1000, n_max: int = 7) -> VerificationReport:
+def verify_lemma_suite(seed: int, iterations: int = 1000, n_max: int = 7,
+                       workers: int = 1) -> VerificationReport:
     """Randomized and exhaustive property suites for the supporting
     lemmas, under one fixed seed. One grid row per suite; predicted is
     the number of checks run and observed the number that held. A row
-    that ran no check is a mismatch, never a vacuous pass."""
+    that ran no check is a mismatch, never a vacuous pass. The exhaustive
+    suites run one task per frontier root, on ``workers`` processes."""
     _check_n_max(n_max, 4)
-    return _report("lemma-suite", seed, _lemma_rows(random.Random(seed), iterations, n_max))
+    return _report("lemma-suite", seed, _lemma_rows(random.Random(seed), iterations, n_max, workers))
 
 
-def _lemma_rows(rng: random.Random, iterations: int, n_max: int) -> Iterator[dict]:
-    # lemma: its drawn checks, in report order; _exhaustive_suites checks the three that draw
+def _lemma_rows(rng: random.Random, iterations: int, n_max: int, workers: int) -> Iterator[dict]:
+    # lemma: its drawn checks, in report order; the root tasks check the three that draw
     # none. The suites draw from rng in this order, each to its end before the next starts.
     suites = {
         "excess-kernel-agreement": _suite_excess_kernels(rng, min(iterations, 300)),
@@ -411,16 +420,17 @@ def _lemma_rows(rng: random.Random, iterations: int, n_max: int) -> Iterator[dic
         "deletion-identity": _suite_deletion_identity(rng, iterations),
     }
     rows: dict[str, list] = {lemma: [0, 0, []] for lemma in suites}  # [passes, checks, witnesses]
-    drawn_checks = ((lemma, *check) for lemma, checks in suites.items() for check in checks)
-    for lemma, ok, witnesses in chain(_exhaustive_suites(n_max), drawn_checks):
-        if ok is None:
-            continue
-        row = rows[lemma]
-        row[1] += 1
-        if ok:
-            row[0] += 1
-        else:
-            row[2] += witnesses
+    for lemma, checks in suites.items():
+        for ok, witnesses in checks:
+            _tally(rows[lemma], ok, witnesses)
+    families: dict = {}  # (n, 2-core code): (core, graphs), merged in task order, the yield order
+    for n, (tallies, part) in map_partitions(_exhaustive_task, range(2, n_max + 1), workers=workers):
+        for lemma, tally in tallies.items():
+            rows[lemma] = [total + value for total, value in zip(rows[lemma], tally)]
+        for code, (core, graphs) in part.items():
+            families.setdefault((n, code), (core, []))[1].extend(graphs)
+    for n, code in sorted(families):
+        _tally(rows["pendant-star-maximizes-s4"], *_star_maximizes_s4(*families[n, code], n))
     for lemma, (passes, checks, witnesses) in rows.items():
         cell = _cell(n_max, 0, 0, checks, passes, passes == checks > 0, witnesses)
         yield {"lemma": lemma, **cell}

@@ -186,6 +186,7 @@ def test_integer_options_take_ascii_digits_only(capsys, argv):
         (("verify", "s-order", "--nmax", "5", "--out", "a" * 300), 2),  # name too long
         (("verify", "max-cliques", "--nmax", "5", "--s", "2"), 3),
         (("verify", "extremal-kernels", "--nmax", "5", "--s", "1,3"), 3),
+        (("verify", "lemmas", "--nmax", "5", "--workers", "0"), 2),
     ],
 )
 def test_bad_arguments_fail_before_enumerating(capsys, monkeypatch, argv, code):
@@ -452,6 +453,9 @@ TRANSCRIPTS = [
     (("verify", "lemmas", "--nmax", "5", "--iterations", "0"), "", "1cd7906ccfca54d7"),
     (("verify", "s-order", "--nmax", "5", "--out", "no-such-dir/report.json"), "", "72d15679569c2019"),
     (("verify", "s-order", "--nmax", "5", "--out", "results/"), "", "d72dcf84ec8d642d"),
+    # the pooled lemma report is the serial one, byte for byte
+    (("verify", "lemmas", "--nmax", "5", "--seed", "2", "--iterations", "50", "--workers", "2"), "",
+     "0e3c7dab489a8f06"),
 ]
 
 

@@ -14,7 +14,7 @@ from cliquex import (
     verify_s_order_last,
 )
 from cliquex.enumeration import argmax_fold
-from cliquex.graphs import to_graph6
+from cliquex.graphs import canonical_form, to_graph6
 from cliquex.verify import _clique_cells, _moment_gallery
 
 SCHEMA_KEYS = {"n", "m", "s", "predicted", "observed", "status", "witnesses", "ties"}
@@ -214,6 +214,7 @@ def test_reports_invariant_under_worker_count():
         lambda workers: verify_max_cliques(6, {3}, workers=workers),
         lambda workers: verify_s_order_last(6, workers=workers),
         lambda workers: verify_extremal_kernels(6, {3, 4}, workers=workers),
+        lambda workers: verify_lemma_suite(0, 200, 6, workers),
     ):
         serial = run(1).to_json(timing=False)
         assert run(2).to_json(timing=False) == serial
@@ -240,6 +241,8 @@ def test_each_harness_enumerates_each_order_once_per_slice(monkeypatch, pool_log
             # the walk starts at the least clique order
             (lambda: verify_extremal_kernels(5, {4, 5}, workers), range(4, 6)),
             (lambda: verify_s_order_last(5, workers), range(4, 6)),
+            # 1 + 1 + 2 + 6 root tasks, one per frontier root of orders 2..5
+            (lambda: verify_lemma_suite(0, 20, 5, workers), range(2, 6)),
         ):
             calls.clear()
             pool_log.clear()
@@ -248,9 +251,27 @@ def test_each_harness_enumerates_each_order_once_per_slice(monkeypatch, pool_log
             assert calls == [(n, None, (root,)) for n in orders
                              for root in enumeration._frontier(n, None)]
             assert len([entry for entry in pool_log if entry[0] == "pool"]) == (workers > 1)
-    calls.clear()
-    assert not verify_lemma_suite(seed=0, iterations=20, n_max=5).mismatches
-    assert calls == [(n, None, None) for n in range(2, 6)]
+
+
+def test_lemma_task_returns_tallies_and_small_order_families():
+    from cliquex.enumeration import EnumerationTask, _frontier
+    from cliquex.verify import _exhaustive_task
+
+    def task(n, graph6):
+        root = next(r for r in _frontier(n, None) if to_graph6(r) == graph6)
+        return _exhaustive_task(EnumerationTask(n, None, (root,)))
+
+    # every check of this order-7 root's subtree holds, so no witness travels back
+    tallies, families = task(7, "EqHO")
+    assert tallies == {"noncut-low-degree-vertex": [31, 31, []], "clique-free-band": [35, 35, []]}
+    assert len(families) == 4
+    for code, (core, graphs) in families.items():
+        assert canonical_form(core) == code and 0 < core.n <= 5
+        assert graphs and all(g.n == 7 and canonical_form(kernel(g, 1)) == code for g in graphs)
+    # the pendant-star suite stops at order 7, so order-8 tasks return tallies alone
+    tallies, families = task(8, "Erzg")
+    assert families == {}
+    assert tallies == {"noncut-low-degree-vertex": [3, 3, []], "clique-free-band": [0, 0, []]}
 
 
 def test_report_json_shape():
@@ -332,6 +353,34 @@ def test_pendant_star_row_fails_when_s4_is_negated_or_flat(monkeypatch):
         row = rows["pendant-star-maximizes-s4"]
         assert (row["status"], row["predicted"], row["observed"]) == ("mismatch", 20, observed)
         assert len(row["witnesses"]) == witnesses
+
+
+def test_pendant_star_families_merge_as_one_whole_order_pass(monkeypatch):
+    # families travel back from the root tasks: each must hold every graph
+    # with its 2-core once, in the yield order of one pass over the order
+    import cliquex.verify as verify
+    from cliquex.enumeration import EnumerationTask, connected_graphs
+
+    expected = []
+    for n in range(2, 8):
+        families = {}
+        for g in connected_graphs(EnumerationTask(n)):
+            core = kernel(g, 1)
+            if 0 < core.n <= 5 and core.n < n:
+                families.setdefault(canonical_form(core), []).append(to_graph6(g))
+        expected += [(n, code, families[code]) for code in sorted(families)]
+    seen = []
+    check = verify._star_maximizes_s4
+
+    def logged(h, family, n):
+        seen.append((n, canonical_form(h), [to_graph6(g) for g in family]))
+        return check(h, family, n)
+
+    monkeypatch.setattr(verify, "_star_maximizes_s4", logged)
+    for workers in (1, 2):
+        seen.clear()
+        assert not verify_lemma_suite(0, 10, 7, workers).mismatches
+        assert seen == expected
 
 
 def test_theorem_mismatches_keep_every_witness(monkeypatch):
