@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .cliques import count_s_cliques
-from .enumeration import EnumerationTask, connected_graphs, map_partitions
+from .enumeration import EnumerationTask, canonical_codes, map_partitions
 from .extremal import (
     construct_b1,
     construct_b2,
@@ -114,7 +114,7 @@ def _read_graphs(args: argparse.Namespace) -> list[Graph]:
 
 
 def _graph6_lines(task: EnumerationTask) -> list[str]:
-    return [to_graph6(g) for g in connected_graphs(task)]
+    return list(canonical_codes(task))
 
 
 class _Usage(Exception):
@@ -257,18 +257,23 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # a bound may print with more than 4300 digits
         sys.set_int_max_str_digits(0)
+    code = EXIT_OK
     try:
         args = _build_parser().parse_args(argv)
         result = args.act(args)
-        if not isinstance(result, VerificationReport):
-            for line in result:
-                print(line)
-            return EXIT_OK
-        if args.out:
-            args.out.write_text(result.to_json() + "\n")
-        else:
-            print(result.to_json())
-        return EXIT_MISMATCH if result.mismatches else EXIT_OK
+        if isinstance(result, VerificationReport):
+            code = EXIT_MISMATCH if result.mismatches else EXIT_OK
+            if args.out:
+                args.out.write_text(result.to_json() + "\n")
+                return code
+            result = [result.to_json()]
+        for line in result:
+            print(line)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader stopped reading; the exit flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
     except SystemExit as exc:  # argparse has printed the help or a usage error
         return EXIT_USAGE if exc.code else EXIT_OK
     except (_Usage, OSError, ValueError) as exc:

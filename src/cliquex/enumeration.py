@@ -10,10 +10,10 @@ classes and each subtree can be its own task with no shared state
 (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
 
 The parent test (``_ParentTest``) is decided from the parent and the
-child's neighbour mask. Per parent it keeps the degree key of each
-deletion parent - u (the keys packed in one integer) and the
-components of parent - u, so a child's deletion keys and cut
-verdicts follow from the mask. Most children lose on the key alone;
+child's neighbour mask. Per parent it keeps a table by mask from which
+each deletion's degree key (the keys packed in one integer) is read,
+and the components of each parent - u, from which the cut verdicts
+follow. Most children lose on the key alone;
 rows are built only for a mask that passes, and a canonical search
 runs only for a non-cut deletion whose key ties the parent's.
 Twins (vertices with the same neighbours apart from each other) are
@@ -24,6 +24,8 @@ since deleting it gives the parent again.
 Children and tied deletions of a valid parent are valid by
 construction and skip ``Graph`` validation.
 
+``canonical_codes`` yields each class's canonical graph6 code, which
+``cliquex enumerate`` prints as is and ``connected_graphs`` decodes.
 ``argmax_fold`` is the one fold over the classes of each order.
 ``map_partitions`` makes one task per frontier root of each order at
 every worker count, and runs them in process or, for ``workers > 1``,
@@ -49,7 +51,7 @@ from .graphs import (
     _without_vertex,
     are_twins,
     canonical_form,
-    canonical_graph,
+    from_graph6,
 )
 
 MAX_EXHAUSTIVE_ORDER = 9
@@ -93,9 +95,13 @@ class _ParentTest:
         # every lane's top bit, and the bias that clears it where a lane's key is below the parent's
         self.high, self.bias = self.ones << 63, ((1 << 63) - self.key) * self.ones
         # lane u of weights[v]: 15 times v's term in key(parent - u), its gain when v joins the new vertex
-        self.weights = [sum(15 << 4 * (d - (row >> u & 1)) + 64 * u for u in range(k) if u != v)
-                        for v, (d, row) in enumerate(zip(degrees, adj))]
-        self.base = sum(self.weights) // 15  # lane u: the key of parent - u
+        weights = [sum(15 << 4 * (d - (row >> u & 1)) + 64 * u for u in range(k) if u != v)
+                   for v, (d, row) in enumerate(zip(degrees, adj))]
+        # sums[mask]: the key of each parent - u plus the weights in mask; spreads[mask]: bit 64v per v in mask
+        self.sums, self.spreads = [sum(weights) // 15], [0]
+        for v, weight in enumerate(weights):
+            self.sums += [total + weight for total in self.sums]
+            self.spreads += [spread | 1 << 64 * v for spread in self.spreads]
         self.parts = []  # parts[u]: the components of parent - u if u is a cut vertex, else none
         for u in range(k):
             left, parts = ((1 << k) - 1) ^ (1 << u), []
@@ -106,15 +112,8 @@ class _ParentTest:
 
     def keys(self, mask: int) -> int:
         """Lane u: key(parent - u) + 15 * 16**deg_{parent-u}(v) per v in mask - u + 16**|mask - u|."""
-        keys, spread, rest = self.base, 0, mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            v = bit.bit_length() - 1
-            keys += self.weights[v]
-            spread |= 1 << 64 * v
         top = 1 << 4 * mask.bit_count()
-        return keys + top * self.ones - (top - (top >> 4)) * spread
+        return self.sums[mask] + top * self.ones - (top - (top >> 4)) * self.spreads[mask]
 
     def is_cut(self, u: int, mask: int) -> bool:
         """Is u a cut vertex of the child: mask - u empty or missing a part of parent - u? Not in K2."""
@@ -185,9 +184,9 @@ def _frontier(n: int, m: int | None) -> list[Graph]:
     return sorted(frontier, key=canonical_form)
 
 
-def connected_graphs(task: EnumerationTask) -> Iterator[Graph]:
-    """Exactly one canonical representative per isomorphism class of
-    connected graphs with the requested order (and size, if given)."""
+def canonical_codes(task: EnumerationTask) -> Iterator[CanonicalForm]:
+    """The canonical code of each class that ``connected_graphs`` yields,
+    in its order: the graph6 record ``canonical_form`` holds for the leaf."""
     n, m = task.n, task.m
     for root in _frontier(n, m) if task.roots is None else task.roots:
         stack = [root]
@@ -195,9 +194,15 @@ def connected_graphs(task: EnumerationTask) -> Iterator[Graph]:
             g = stack.pop()
             if g.n == n:
                 if m is None or g.m == m:
-                    yield canonical_graph(g)
+                    yield canonical_form(g)
                 continue
             stack.extend(_children(g, n, m))
+
+
+def connected_graphs(task: EnumerationTask) -> Iterator[Graph]:
+    """Exactly one canonical representative per isomorphism class of
+    connected graphs with the requested order (and size, if given)."""
+    yield from map(from_graph6, canonical_codes(task))
 
 
 def map_partitions(fn: Callable[[EnumerationTask], Any], orders: Iterable[int],

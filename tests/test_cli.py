@@ -13,6 +13,7 @@ import pytest
 from cliquex import (
     EnumerationTask,
     Graph,
+    canonical_form,
     choose,
     connected_graphs,
     decompose_connected,
@@ -21,7 +22,7 @@ from cliquex import (
     to_graph6,
 )
 from cliquex.cli import _decimal_text, run
-from cliquex.enumeration import _frontier
+from cliquex.enumeration import _frontier, canonical_codes
 from conftest import MALFORMED_EDGE_LISTS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -474,3 +475,40 @@ def test_transcripts_match_pins(capsys, monkeypatch, tmp_path, argv, stdin, dige
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(tmp_path)
     assert transcript_digest(capsys, monkeypatch, argv, stdin) == digest
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("n, m", [*((n, None) for n in range(1, 8)), (8, 14)])
+def test_enumerate_prints_the_codes_of_the_classes(capsys, n, m, workers):
+    argv = ["enumerate", "--n", str(n), "--workers", workers] + ([] if m is None else ["--m", str(m)])
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == sorted(to_graph6(g) for g in connected_graphs(EnumerationTask(n, m)))
+
+
+def test_serial_enumerate_neither_decodes_nor_reencodes(capsys, monkeypatch):
+    import cliquex.cli
+    import cliquex.enumeration
+
+    calls = []
+    for module, name in ((cliquex.enumeration, "from_graph6"), (cliquex.cli, "to_graph6")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    code, out, _ = invoke(capsys, "enumerate", "--n", "6")
+    assert code == 0 and len(out.split()) == 112 and calls == []
+
+
+def test_canonical_codes_are_the_codes_of_connected_graphs():
+    for root in _frontier(7, None):
+        task = EnumerationTask(7, None, (root,))
+        assert list(canonical_codes(task)) == [canonical_form(g) for g in connected_graphs(task)]
+
+
+def test_a_reader_that_stops_reading_is_not_an_error():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "cliquex", "enumerate", "--n", "8"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=ROOT)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), first, err) == (0, b"G?LTE?\n", b"")

@@ -117,6 +117,29 @@ def test_parent_test_arithmetic_matches_the_rows():
     assert checked == sum(CONNECTED_TOTALS[k] * ((1 << k) - 1) * k for k in range(1, 7)) == 46000
 
 
+def test_key_table_at_its_widest_matches_the_rows():
+    """The key tables of a fixed sample of order-7 and order-8 parents in
+    the n = 9 tree, 2**8 entries at the widest: for every neighbour mask
+    and every parent vertex u, the packed key of child - u is the degree
+    key of the deleted rows."""
+    order_seven = [child for root in _frontier(9, None)[::32] for child in _children(root, 9, None)]
+    order_eight = [next(_children(parent, 9, None)) for parent in order_seven[::2]]
+    checked = 0
+    for parent in order_seven + order_eight:
+        k, test = parent.n, _ParentTest(parent)
+        assert len(test.sums) == len(test.spreads) == 1 << k
+        for mask in range(1, 1 << k):
+            rows = parent.add_vertex(u for u in range(k) if (mask >> u) & 1).adj
+            keys = test.keys(mask)
+            assert keys >> 64 * k == 0, (parent, mask)
+            for u in range(k):
+                lane = keys >> 64 * u & (1 << 64) - 1
+                assert lane == _degree_key(_without_vertex(rows, u).degrees()), (parent, mask, u)
+                checked += 1
+    assert {parent.n for parent in order_eight} == {8}
+    assert checked == len(order_seven) * 127 * 7 + len(order_eight) * 255 * 8
+
+
 @st.composite
 def degree_list_pairs(draw):
     n = draw(st.integers(0, 10))
