@@ -39,7 +39,7 @@ from .extremal import (
     max_cliques_bound,
 )
 from .graphs import EDGE_LINE, Graph, Graph6Error, from_edge_list, from_graph6, text_lines, to_graph6
-from .spectral import s_order_compare, spectral_moments
+from .spectral import moment_sequence, s_order_compare, spectral_moments
 from .verify import (
     VerificationReport,
     verify_extremal_kernels,
@@ -170,8 +170,8 @@ def _decompose(args: argparse.Namespace) -> list[str]:
 
 def _moments(args: argparse.Namespace) -> Iterator[str]:
     for g in _read_graphs(args):
-        jmax = args.jmax if args.jmax is not None else max(g.n - 1, 0)
-        yield " ".join(str(x) for x in spectral_moments(g, jmax).s)
+        moments = moment_sequence(g) if args.jmax is None else spectral_moments(g, args.jmax).s
+        yield " ".join(map(str, moments))
 
 
 def _compare(args: argparse.Namespace) -> list[str]:

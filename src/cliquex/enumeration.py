@@ -26,6 +26,7 @@ construction and skip ``Graph`` validation.
 
 ``canonical_codes`` yields each class's canonical graph6 code, which
 ``cliquex enumerate`` prints as is and ``connected_graphs`` decodes.
+The edge budget in ``_children`` is the only size rule.
 ``argmax_fold`` is the one fold over the classes of each order.
 ``map_partitions`` makes one task per frontier root of each order at
 every worker count, and runs them in process or, for ``workers > 1``,
@@ -185,16 +186,15 @@ def _frontier(n: int, m: int | None) -> list[Graph]:
 
 
 def canonical_codes(task: EnumerationTask) -> Iterator[CanonicalForm]:
-    """The canonical code of each class that ``connected_graphs`` yields,
-    in its order: the graph6 record ``canonical_form`` holds for the leaf."""
+    """Each leaf's code, as ``canonical_form`` holds it, in ``connected_graphs``
+    order. No leaf needs a size check: the last step adds exactly m - e edges."""
     n, m = task.n, task.m
     for root in _frontier(n, m) if task.roots is None else task.roots:
         stack = [root]
         while stack:
             g = stack.pop()
             if g.n == n:
-                if m is None or g.m == m:
-                    yield canonical_form(g)
+                yield canonical_form(g)
                 continue
             stack.extend(_children(g, n, m))
 

@@ -199,8 +199,8 @@ def verify_extremal_kernels(n_max: int, s_values: set[int], workers: int = 1,
     """Each cell checks that every graph attaining the clique maximum
     peels down to the predicted kernel form: the r-clique, the
     t-augmented r-clique, or (clique order 3, t = 2) a clique-cycle
-    bridge. predicted/observed count the extremal graphs expected and
-    found in the allowed families."""
+    bridge. predicted counts the extremal graphs enumeration found (no
+    independent count exists yet), observed those in the allowed families."""
     svals = _clique_orders(s_values)  # below order svals[0] no cell reaches the excess threshold
     cells = _clique_grid(svals[0], n_max, svals, workers)
     return _report("extremal-kernels", seed, starmap(_kernel_cell, cells))
@@ -215,7 +215,7 @@ def _s_order_cell(n: int, m: int, _: int, k3: int, triangles: list[Graph]) -> di
     gallery, broken = _moment_gallery(k3, triangles)
     star = construct_extremal_star(m, n)
     ties = gallery if len(gallery) > 1 else ()
-    ok = len(gallery) == 1 and canonical_form(gallery[0]) == canonical_form(star) and not broken
+    ok = len(gallery) == 1 and to_graph6(gallery[0]) == canonical_form(star) and not broken
     cell = _cell(n, m, 0, 1, len(gallery), ok, broken or gallery, ties)
     r, t = decompose_connected(m, n)
     if t == 2 and r >= 3 and n >= r + 2:

@@ -293,6 +293,20 @@ def test_emitted_graphs_are_canonical_and_in_cell():
                 assert (g.n, g.m) == (n, m)
                 assert g.is_connected()
                 assert g == canonical_graph(g)
+    # the edge budget alone sizes the leaves, also under roots outside it
+    roots = _frontier(7, None)
+    assert len(roots) == 112
+    total = 0
+    for m in range(6, 22):
+        codes = []
+        for root in roots:
+            for g in connected_graphs(EnumerationTask(7, m, (root,))):
+                assert (g.n, g.m) == (7, m)
+                assert g == canonical_graph(g)
+                codes.append(to_graph6(g))
+        assert sorted(codes) == sorted(map(to_graph6, connected_graphs(EnumerationTask(7, m))))
+        total += len(codes)
+    assert total == CONNECTED_TOTALS[7]
 
 
 def test_order_nine_corner_cells():

@@ -4,6 +4,7 @@ import pytest
 
 from cliquex import (
     Graph,
+    argmax_fold,
     canonical_form,
     choose,
     construct_b1,
@@ -364,3 +365,28 @@ def test_clique_free_band(rng):
         for s in (3, 4, 5):
             if g.m - g.n <= choose(s, 2) - s - 1:
                 assert count_s_cliques(g, s) == 0
+
+
+def test_erdos_bound_is_the_knapsack_of_connected_maxima():
+    # k_s adds over components, so the best multiset of connected maxima
+    # (isolated vertices included) is the maximum over all (n, m) graphs
+    svals = (3, 4, 5)
+    folded = argmax_fold(range(1, 8), lambda g: [((g.m, s), count_s_cliques(g, s)) for s in svals])
+    best = {(0, 0, s): 0 for s in svals}  # (n, m, s): maximum k_s over all graphs
+    for n in range(1, 8):
+        for m in range(choose(n, 2) + 1):
+            for s in svals:
+                best[n, m, s] = max(best[n - a, m - b, s] + value
+                                    for a in range(1, n + 1)
+                                    for (b, order), (value, _) in folded[a].items()
+                                    if order == s and (n - a, m - b, s) in best)
+    # the (m, s) where K_r^t, on r + (t > 0) vertices, fits in seven
+    fits = [(m, s) for m, (r, t) in enumerate(map(decompose_erdos, range(22))) for s in svals if r + (t > 0) <= 7]
+    assert len(fits) == 66
+    assert all(best[7, m, s] == erdos_bound(m, s) for m, s in fits)
+    below = 0
+    for n in range(3, 8):
+        for (m, s), (value, _) in folded[n].items():
+            assert value <= best[n, m, s]
+            below += value < best[n, m, s]
+    assert below == 39

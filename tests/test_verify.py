@@ -406,3 +406,18 @@ def test_theorem_mismatches_keep_every_witness(monkeypatch):
         match = expected[(cell["n"], cell["m"], cell["s"])]
         assert match["predicted"] == cell["predicted"]
         assert match["witnesses"] == cell["witnesses"][: verify.WITNESS_CAP]
+
+
+def test_s_order_compares_a_yielded_class_by_its_own_code(monkeypatch):
+    import cliquex.verify as verify
+
+    fold = verify.argmax_fold
+
+    def reversed_fold(*args):  # every attaining graph with its vertex order reversed
+        return {n: {cell: (value, [g.relabel(list(reversed(range(g.n)))) for g in graphs])
+                    for cell, (value, graphs) in cells.items()}
+                for n, cells in fold(*args).items()}
+
+    monkeypatch.setattr(verify, "argmax_fold", reversed_fold)
+    report = verify_s_order_last(6)
+    assert (len(report.grid), len(report.mismatches)) == (19, 16)
