@@ -24,10 +24,15 @@ since deleting it gives the parent again.
 Children and tied deletions of a valid parent are valid by
 construction and skip ``Graph`` validation.
 
+Both consumers share one walk per task, ``_leaf_batches``, which hands
+over each order n - 1 node's accepted leaves with their sibling
+duplicates, a class's only ones; nodes below are deduplicated.
 ``canonical_codes`` yields each class's canonical graph6 code, which
 ``cliquex enumerate`` prints as is and ``connected_graphs`` decodes.
-The edge budget in ``_children`` is the only size rule.
-``argmax_fold`` is the one fold over the classes of each order.
+``argmax_fold``, the one fold over the classes of each order, folds the
+raw leaves and canonicalizes only those that attain a maximum, so a
+class count per (n, m) must come from ``canonical_codes``, never from it.
+The edge budget in ``_accepted`` is the only size rule.
 ``map_partitions`` makes one task per frontier root of each order at
 every worker count, and runs them in process or, for ``workers > 1``,
 on one pool of at most the CPU count of processes, one task at a
@@ -141,8 +146,8 @@ class _ParentTest:
         return rows
 
 
-def _children(parent: Graph, n: int, m: int | None) -> Iterator[Graph]:
-    """Accepted children of one parent, deduplicated within the parent."""
+def _accepted(parent: Graph, n: int, m: int | None) -> list[Graph]:
+    """Accepted children of one parent in mask order, sibling duplicates included."""
     test = _ParentTest(parent)
     k, e = parent.n, parent.m
     # mask sizes in the edge budget: the n - k - 1 vertices to come add at least
@@ -158,19 +163,16 @@ def _children(parent: Graph, n: int, m: int | None) -> Iterator[Graph]:
     masks = [0]
     for prefix in prefixes.values():
         masks = [mask | p for mask in masks for p in prefix]
-    seen: set[CanonicalForm] = set()
-    for mask in sorted(masks)[1:]:
-        if not fewest <= mask.bit_count() <= most:
-            continue
-        rows = test.child_rows(mask)
-        if rows is None:
-            continue
-        child = Graph._trusted(k + 1, rows)
-        code = canonical_form(child)
-        if code in seen:
-            continue
-        seen.add(code)
-        yield child
+    sized = [mask for mask in sorted(masks)[1:] if fewest <= mask.bit_count() <= most]
+    return [Graph._trusted(k + 1, rows) for rows in map(test.child_rows, sized) if rows is not None]
+
+
+def _children(parent: Graph, n: int, m: int | None) -> Iterator[Graph]:
+    """Accepted children of one parent, the first of each class in mask order."""
+    firsts: dict[CanonicalForm, Graph] = {}
+    for child in _accepted(parent, n, m):
+        firsts.setdefault(canonical_form(child), child)
+    return iter(firsts.values())
 
 
 def _frontier_order(n: int) -> int:
@@ -185,18 +187,27 @@ def _frontier(n: int, m: int | None) -> list[Graph]:
     return sorted(frontier, key=canonical_form)
 
 
-def canonical_codes(task: EnumerationTask) -> Iterator[CanonicalForm]:
-    """Each leaf's code, as ``canonical_form`` holds it, in ``connected_graphs``
-    order. No leaf needs a size check: the last step adds exactly m - e edges."""
+def _leaf_batches(task: EnumerationTask) -> Iterator[list[Graph]]:
+    """The walk of one task: for each order n - 1 node in turn, its
+    accepted leaves in mask order, sibling duplicates included. Nodes
+    below order n - 1 are deduplicated by code, so no subtree repeats.
+    No leaf needs a size check: the last step adds exactly m - e edges."""
     n, m = task.n, task.m
     for root in _frontier(n, m) if task.roots is None else task.roots:
         stack = [root]
         while stack:
             g = stack.pop()
-            if g.n == n:
-                yield canonical_form(g)
-                continue
-            stack.extend(_children(g, n, m))
+            if g.n < n - 1:
+                stack.extend(_children(g, n, m))
+            else:
+                yield [g] if g.n == n else _accepted(g, n, m)  # g.n == n only for K1
+
+
+def canonical_codes(task: EnumerationTask) -> Iterator[CanonicalForm]:
+    """Each class's code, as ``canonical_form`` holds it, in ``connected_graphs``
+    order: per parent, the first leaf of each class, taken in reverse."""
+    for leaves in _leaf_batches(task):
+        yield from reversed(dict.fromkeys(map(canonical_form, leaves)))
 
 
 def connected_graphs(task: EnumerationTask) -> Iterator[Graph]:
@@ -237,9 +248,14 @@ def _keep_max(best: dict, cell: Hashable, value, graphs: list[Graph]) -> None:
 def _fold_task(cells: Callable[[Graph], Iterable[tuple[Hashable, Any]]],
                task: EnumerationTask) -> dict:
     best: dict = {}
-    for g in connected_graphs(task):
-        for cell, value in cells(g):
-            _keep_max(best, cell, value, [g])
+    for leaves in _leaf_batches(task):
+        for g in reversed(leaves):
+            for cell, value in cells(g):
+                _keep_max(best, cell, value, [g])
+    # a class's duplicates are siblings and attain together; its last sits where connected_graphs has it
+    for cell, (value, graphs) in best.items():
+        codes = dict.fromkeys(map(canonical_form, reversed(graphs)))
+        best[cell] = (value, [from_graph6(code) for code in reversed(codes)])
     return best
 
 
@@ -249,9 +265,12 @@ def argmax_fold(orders: Iterable[int], cells: Callable[[Graph], Iterable[tuple[H
     connected graphs of each order n, where ``cells(g)`` yields the
     (cell, value) pairs of one graph.
 
-    Each task's part merges by the same rule as it arrives, in task
-    order, so the maxima and the attaining lists, in the yield order of
-    one whole-order pass, do not depend on ``workers``.
+    ``cells`` sees every leaf, sibling duplicates included and in any
+    labeling, so its values must not depend on the labeling; a task
+    canonicalizes only its attaining leaves. Each task's part merges by
+    the same rule as it arrives, in task order, so the maxima and the
+    attaining lists, in the yield order of one whole-order pass, do not
+    depend on ``workers``.
     """
     folded: dict[int, dict] = {n: {} for n in orders}
     for n, part in map_partitions(partial(_fold_task, cells), folded, workers=workers):

@@ -223,17 +223,16 @@ def test_reports_invariant_under_worker_count():
 
 def test_each_harness_enumerates_each_order_once_per_slice(monkeypatch, pool_log):
     import cliquex.enumeration as enumeration
-    import cliquex.verify as verify
 
-    original = enumeration.connected_graphs
+    # the per-task walk behind both the folds and connected_graphs
+    original = enumeration._leaf_batches
     calls = []
 
     def counted(task):
         calls.append((task.n, task.m, task.roots))
         return original(task)
 
-    monkeypatch.setattr(enumeration, "connected_graphs", counted)
-    monkeypatch.setattr(verify, "connected_graphs", counted)
+    monkeypatch.setattr(enumeration, "_leaf_batches", counted)
     for workers in (1, 2):
         for run, orders in (
             (lambda: verify_max_cliques(5, {3, 4}, workers), range(3, 6)),
