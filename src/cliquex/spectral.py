@@ -29,7 +29,7 @@ class SOrderResult(NamedTuple):
 
 
 def _walk_bound(n: int, j_max: int) -> int:
-    return n * max(n - 1, 1) ** j_max if n else 0
+    return n * max(n - 1, 1) ** j_max
 
 
 def spectral_moments(g: Graph, j_max: int) -> MomentVector:

@@ -326,8 +326,6 @@ def _noncut_vertex_holds(g: Graph, core: Graph) -> bool | None:
     cycle, all degrees 2 > r - 1, and it is not K_3), so the suite
     checks the r >= 3 domain where the statement is sound.
     """
-    if g.m < g.n:
-        return None
     r, _ = decompose_connected(g.m, g.n)
     if r < 3:
         return None

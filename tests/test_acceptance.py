@@ -2,8 +2,8 @@
 tolerance (exact integer equality throughout) and prints one pass/fail
 line. Run with `pytest tests/test_acceptance.py -s` to see the lines.
 
-The optional n = 8 extended grid and the n = 9 counting sweep are
-gated behind CLIQUEX_EXTENDED=1.
+The optional n = 8 extended grid, the n = 9 counting sweep and the
+pinned n = 9 theorem reports are gated behind CLIQUEX_EXTENDED=1.
 """
 
 import hashlib
@@ -255,3 +255,24 @@ def test_criterion_8_extended_polya_counts_n9():
            not bad and total == 261080, f"{total} classes in {elapsed:.0f}s")
     assert not bad, bad
     assert total == 261080
+
+
+@pytest.mark.extended
+@pytest.mark.skipif(not EXTENDED, reason="set CLIQUEX_EXTENDED=1 for the n=9 reports")
+def test_criteria_1_to_3_extended_n9_reports_pinned():
+    """The three theorem reports at n_max = 9 on 2 workers: no mismatch,
+    and each body's cell count and sha256 as first measured."""
+    for rep, cells, digest in (
+        (verify_max_cliques(9, {3, 4, 5}, workers=2), 273,
+         "065303fda207b5d9a88e7b05981ef459bb25f7962be02feae73977764e774f8d"),
+        (verify_extremal_kernels(9, {3, 4, 5}, workers=2), 210,
+         "8615fef477b6056ae90bc264467d82626964d521f2843f390d3963237a3ade5c"),
+        (verify_s_order_last(9, workers=2), 83,
+         "449ed951fa8e2eda3cc2875e15dad745d6bb374dabbb5bb85f393f5ba1e128c3"),
+    ):
+        body = rep.to_json(timing=False).encode()
+        ok = (not rep.mismatches and len(rep.grid) == cells
+              and hashlib.sha256(body).hexdigest() == digest)
+        report(f"criteria 1-3 (extended): {rep.theorem_id} n<=9 report pinned", ok,
+               f"{len(rep.grid)} cells")
+        assert ok, rep.theorem_id

@@ -2,9 +2,12 @@
 
 perfbench's tracer wraps functions and ``Graph`` methods by name, and its
 runner reads the canonical cache. Each of these must keep existing until
-the benchmark stops looking it up, even where nothing else in the package
-needs it (the ``construct_b1`` alias, validation in ``__post_init__``, the
-``add_vertex`` and ``remove_vertex`` wrappers).
+the benchmark stops looking it up. Some also have callers in the package,
+which a change that deletes the name must rewire: ``--family b1`` calls
+``construct_b1``; every validated ``Graph(...)`` runs ``__post_init__``;
+``construct_krt``, ``construct_extremal_star``, ``construct_b2`` and
+``realize_with_kernel`` call ``add_vertex``; and ``deletion_identity_check``
+calls ``remove_vertex``.
 """
 
 import importlib
