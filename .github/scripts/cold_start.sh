@@ -6,9 +6,10 @@
 # same_report.py compares the two outputs and holds both to the row's pin,
 # if any; the pins are perfbench's ENUM_PINS and REPORT_PINS. The pooled
 # runs peel kernels and run the cut test in forked workers (extremal-kernels
-# --nmax 7 on a walk that starts above order 3), count cliques there at
-# s = 5, fold n = 8 with the most sibling duplicates among its leaves, and
-# run the lemma checks and pickle their pendant-star families.
+# --nmax 7 on a walk that starts above order 3), carry clique counts there
+# at s = 5 and at clique orders up to and beyond the order (max-cliques
+# --s 3..8 at n <= 7), fold n = 8 with the most sibling duplicates among
+# its leaves, and run the lemma checks and pickle their pendant-star families.
 #
 # Usage: RUNNER_TEMP=$(mktemp -d) PYTHONPATH=src bash .github/scripts/cold_start.sh
 set -euo pipefail
@@ -26,6 +27,7 @@ done <<'ROWS'
 2 8e7075e223c1a2727f8de7b26c35d98364a8c70bcffefd84594ff010a420c738 enumerate --n 8
 2 - verify max-cliques --nmax 5 --s 3
 2 - verify max-cliques --nmax 7 --s 3,4,5
+2 - verify max-cliques --nmax 7 --s 3,4,5,6,7,8
 2 ccf7e2b8788d914915e5025b027cdb96b4ffd7596e24861904d3fc66d1a6b4d9 verify max-cliques --nmax 8 --s 3,4
 2 - verify extremal-kernels --nmax 6 --s 3,4
 2 - verify extremal-kernels --nmax 7 --s 4,5

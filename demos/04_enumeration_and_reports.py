@@ -12,7 +12,6 @@ from cliquex import (
     EnumerationTask,
     argmax_fold,
     connected_graphs,
-    count_s_cliques,
     to_graph6,
     verify_max_cliques,
     verify_s_order_last,
@@ -40,9 +39,10 @@ for m in range(3, 7):
 
 # ── folding a measure over a class ────────────────────────────────
 
-# argmax_fold folds every connected graph of each order asked for into
-# cells, here one per size m, keeping the maximum and every graph attaining it.
-value, witnesses = argmax_fold([7], lambda g: ((g.m, count_s_cliques(g, 3)),))[7][12]
+# argmax_fold folds the s-clique counts of every connected graph of each
+# order asked for into one cell per (m, s), keeping the maximum and every
+# graph attaining it.
+value, witnesses = argmax_fold([7], (3,))[7][12, 3]
 print(f"\nmax triangles over all connected (12, 7)-graphs: {value}")
 print(f"attained by {len(witnesses)} class(es): "
       + ", ".join(sorted(to_graph6(g) for g in witnesses)))

@@ -25,13 +25,15 @@ Children and tied deletions of a valid parent are valid by
 construction and skip ``Graph`` validation.
 
 Both consumers share one walk per task, ``_leaf_batches``, which hands
-over each order n - 1 node's accepted leaves with their sibling
+over each order n - 1 node with its accepted leaves and their sibling
 duplicates, a class's only ones; nodes below are deduplicated.
 ``canonical_codes`` yields each class's canonical graph6 code, which
 ``cliquex enumerate`` prints as is and ``connected_graphs`` decodes.
-``argmax_fold``, the one fold over the classes of each order, folds the
-raw leaves and canonicalizes only those that attain a maximum, so a
-class count per (n, m) must come from ``canonical_codes``, never from it.
+``argmax_fold``, the one fold of clique counts over the classes of each
+order, counts each order n - 1 node's cliques once and each leaf's from
+its new vertex's mask alone. It folds the raw leaves and canonicalizes
+only those that attain a maximum, so a class count per (n, m) must come
+from ``canonical_codes``, never from it.
 The edge budget in ``_accepted`` is the only size rule.
 ``map_partitions`` makes one task per frontier root of each order at
 every worker count, and runs them in process or, for ``workers > 1``,
@@ -48,6 +50,7 @@ import os
 from functools import partial
 from typing import Any, Callable, Hashable, Iterable, Iterator
 
+from .cliques import _clique_counts
 from .extremal import feasible_size
 from .graphs import (
     CanonicalForm,
@@ -187,8 +190,8 @@ def _frontier(n: int, m: int | None) -> list[Graph]:
     return sorted(frontier, key=canonical_form)
 
 
-def _leaf_batches(task: EnumerationTask) -> Iterator[list[Graph]]:
-    """The walk of one task: for each order n - 1 node in turn, its
+def _leaf_batches(task: EnumerationTask) -> Iterator[tuple[Graph, list[Graph]]]:
+    """The walk of one task: each order n - 1 node in turn with its
     accepted leaves in mask order, sibling duplicates included. Nodes
     below order n - 1 are deduplicated by code, so no subtree repeats.
     No leaf needs a size check: the last step adds exactly m - e edges."""
@@ -199,14 +202,14 @@ def _leaf_batches(task: EnumerationTask) -> Iterator[list[Graph]]:
             g = stack.pop()
             if g.n < n - 1:
                 stack.extend(_children(g, n, m))
-            else:
-                yield [g] if g.n == n else _accepted(g, n, m)  # g.n == n only for K1
+            else:  # g.n == n only for K1, the one child of the empty graph
+                yield (g, _accepted(g, n, m)) if g.n < n else (Graph._trusted(0, ()), [g])
 
 
 def canonical_codes(task: EnumerationTask) -> Iterator[CanonicalForm]:
     """Each class's code, as ``canonical_form`` holds it, in ``connected_graphs``
     order: per parent, the first leaf of each class, taken in reverse."""
-    for leaves in _leaf_batches(task):
+    for _, leaves in _leaf_batches(task):
         yield from reversed(dict.fromkeys(map(canonical_form, leaves)))
 
 
@@ -245,13 +248,17 @@ def _keep_max(best: dict, cell: Hashable, value, graphs: list[Graph]) -> None:
         prev[1].extend(graphs)
 
 
-def _fold_task(cells: Callable[[Graph], Iterable[tuple[Hashable, Any]]],
-               task: EnumerationTask) -> dict:
+def _fold_task(svals: tuple[int, ...], task: EnumerationTask) -> dict:
+    top = min(max(svals), task.n)  # no clique is larger than the graph
     best: dict = {}
-    for leaves in _leaf_batches(task):
+    for parent, leaves in _leaf_batches(task):
+        counts, e = _clique_counts(parent.adj, (1 << parent.n) - 1, top), parent.m
         for g in reversed(leaves):
-            for cell, value in cells(g):
-                _keep_max(best, cell, value, [g])
+            mask = g.adj[-1]  # the new vertex's neighbours in the parent
+            within = _clique_counts(parent.adj, mask, max(top - 1, 1))  # top is 1 only for K1
+            m = e + mask.bit_count()
+            for s in svals:
+                _keep_max(best, (m, s), counts[s] + within[s - 1] if s <= top else 0, [g])
     # a class's duplicates are siblings and attain together; its last sits where connected_graphs has it
     for cell, (value, graphs) in best.items():
         codes = dict.fromkeys(map(canonical_form, reversed(graphs)))
@@ -259,21 +266,25 @@ def _fold_task(cells: Callable[[Graph], Iterable[tuple[Hashable, Any]]],
     return best
 
 
-def argmax_fold(orders: Iterable[int], cells: Callable[[Graph], Iterable[tuple[Hashable, Any]]],
-                workers: int = 1) -> dict[int, dict]:
-    """{n: {cell: (maximum value, every graph attaining it)}} over all
-    connected graphs of each order n, where ``cells(g)`` yields the
-    (cell, value) pairs of one graph.
+def argmax_fold(orders: Iterable[int], svals: Iterable[int], workers: int = 1) -> dict[int, dict]:
+    """{n: {(m, s): (maximum k_s, every graph attaining it)}} over all
+    connected graphs of each order n, for each clique order s >= 1 in
+    ``svals``.
 
-    ``cells`` sees every leaf, sibling duplicates included and in any
-    labeling, so its values must not depend on the labeling; a task
-    canonicalizes only its attaining leaves. Each task's part merges by
-    the same rule as it arrives, in task order, so the maxima and the
-    attaining lists, in the yield order of one whole-order pass, do not
-    depend on ``workers``.
+    Each leaf is its order n - 1 parent P plus one vertex v joined to a
+    mask of P, so k_s(leaf) = k_s(P) + k_{s-1}(P[mask]), the deletion
+    identity at v. P's counts are taken once, each leaf's from its mask
+    alone, and only up to min(max(svals), n): a larger s reads 0.
+    A task canonicalizes only its attaining leaves. Each task's part
+    merges by the same rule as it arrives, in task order, so the maxima
+    and the attaining lists, in the yield order of one whole-order pass,
+    do not depend on ``workers``.
     """
+    svals = tuple(svals)
+    if not svals or min(svals) < 1:
+        raise ValueError("clique orders must be given, and each must be at least 1")
     folded: dict[int, dict] = {n: {} for n in orders}
-    for n, part in map_partitions(partial(_fold_task, cells), folded, workers=workers):
+    for n, part in map_partitions(partial(_fold_task, svals), folded, workers=workers):
         for cell, (value, graphs) in part.items():
             _keep_max(folded[n], cell, value, graphs)
     return folded

@@ -13,7 +13,8 @@ the exhaustive ones run per frontier-root task on `map_partitions` and return
 tallies and pendant-star families, which `_lemma_rows` merges in task order.
 
 The theorem reports are views of one walk, `_clique_grid`, which checks
-the order cap, folds the clique counts once per order and yields each
+the order cap, folds the clique counts once per order with `argmax_fold`
+(each leaf's counts carried from its parent) and yields each
 feasible (n, m, s) point with its maximum and attaining graphs; a view
 maps a point to its cell, or to None where its theorem claims nothing.
 s-order ranks only the k_3 maximizers by moments: S_0..S_2 are fixed per
@@ -28,10 +29,9 @@ import json
 import random
 import time
 from collections.abc import Iterable, Iterator
-from functools import partial
 from itertools import starmap
 
-from .cliques import clique_counts_upto, count_s_cliques, deletion_identity_check
+from .cliques import count_s_cliques, deletion_identity_check
 from .enumeration import MAX_EXHAUSTIVE_ORDER, EnumerationTask, argmax_fold, connected_graphs, map_partitions
 from .extremal import (
     choose,
@@ -130,12 +130,6 @@ def _clique_orders(s_values: set[int]) -> tuple[int, ...]:
     return svals
 
 
-def _clique_cells(svals: tuple[int, ...], g: Graph) -> list[tuple[tuple[int, int], int]]:
-    # no clique is larger than the graph, so count only up to its order
-    counts = clique_counts_upto(g, min(svals[-1], g.n))
-    return [((g.m, s), counts[s - 1] if s <= g.n else 0) for s in svals]
-
-
 def _moment_gallery(k3: int, triangles: list[Graph]) -> tuple[list[Graph], list[Graph]]:
     """The moment maxima among one cell's triangle maximizers, and those with S_3 != 6 k_3."""
     keys = [moment_sequence(g) for g in triangles]
@@ -152,7 +146,7 @@ def _clique_grid(lowest: int, n_max: int, svals: tuple[int, ...], workers: int
     """(n, m, s, maximum k_s, every class attaining it) for each feasible
     cell of orders lowest..n_max, in (n, m, s) order, from one fold."""
     _check_n_max(n_max, lowest)
-    folded = argmax_fold(range(lowest, n_max + 1), partial(_clique_cells, svals), workers)
+    folded = argmax_fold(range(lowest, n_max + 1), svals, workers)
     for n, cells in folded.items():
         for m in range(n - 1, n * (n - 1) // 2 + 1):
             for s in svals:

@@ -294,9 +294,9 @@ def test_enumerate_count_pipeline_consistency(capsys, monkeypatch):
     code, counted, _ = invoke(capsys, "count", "--s", "3")
     assert code == 0
 
-    from cliquex import argmax_fold, count_s_cliques
+    from cliquex import argmax_fold
 
-    value, _ = argmax_fold([4], lambda g: ((g.m, count_s_cliques(g, 3)),))[4][5]
+    value, _ = argmax_fold([4], (3,))[4][5, 3]
     assert max(int(tok) for tok in counted.split()) == value
 
 

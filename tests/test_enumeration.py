@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cliquex.enumeration as enumeration
 from cliquex import (
     EnumerationTask,
     Graph,
     argmax_fold,
     canonical_form,
     canonical_graph,
+    clique_counts_upto,
     connected_graphs,
     construct_extremal_star,
     count_s_cliques,
@@ -21,6 +23,7 @@ from cliquex import (
 from cliquex.enumeration import (
     _children,
     _degree_key,
+    _fold_task,
     _frontier,
     _ParentTest,
     map_partitions,
@@ -458,24 +461,24 @@ def test_labeled_classes_validation():
         labeled_classes(4, 7)
 
 
-def _triangle_cells(g):
-    return ((g.m, count_s_cliques(g, 3)),)
-
-
 def test_argmax_fold_examples():
-    folded = argmax_fold(range(5, 8), _triangle_cells)
+    folded = argmax_fold(range(5, 8), (3,))
     assert list(folded) == [5, 6, 7]
-    value, witnesses = folded[7][10]
+    value, witnesses = folded[7][10, 3]
     assert value == 5
     codes = {canonical_form(g) for g in witnesses}
     assert canonical_form(construct_extremal_star(10, 7)) in codes
 
-    value, witnesses = folded[5][10]
+    value, witnesses = folded[5][10, 3]
     assert value == 10 and len(witnesses) == 1
 
-    value, witnesses = folded[6][5]
+    value, witnesses = folded[6][5, 3]
     assert value == 0
     assert len(witnesses) == 6  # every tree on six vertices attains zero
+
+    for svals in ((), (0, 3)):
+        with pytest.raises(ValueError, match="clique orders"):
+            argmax_fold([5], svals)
 
 
 def test_argmax_fold_partition_invariance():
@@ -483,28 +486,24 @@ def test_argmax_fold_partition_invariance():
     best = max(count_s_cliques(g, 3) for g in graphs)
     base_codes = sorted(canonical_form(g) for g in graphs if count_s_cliques(g, 3) == best)
     for workers in (1, 2, 4):
-        value, witnesses = argmax_fold([6], _triangle_cells, workers)[6][8]
+        value, witnesses = argmax_fold([6], (3,), workers)[6][8, 3]
         assert value == best
         assert sorted(canonical_form(g) for g in witnesses) == base_codes
 
 
 def test_a_repeated_order_is_folded_once():
-    once = argmax_fold([5], _triangle_cells)
-    assert len(once[5][8][1]) == 1  # the one triangle maximizer of (5, 8)
+    once = argmax_fold([5], (3,))
+    assert len(once[5][8, 3][1]) == 1  # the one triangle maximizer of (5, 8)
     for workers in (1, 2):
-        assert argmax_fold([5, 5], _triangle_cells, workers) == once
+        assert argmax_fold([5, 5], (3,), workers) == once
 
 
 def test_argmax_fold_order_invariance():
     # tasks merge in root order, so even the order within each attaining
     # list is the serial yield order
-    serial = argmax_fold([7], _triangle_cells)
-    assert argmax_fold([7], _triangle_cells, 2) == serial
-    assert argmax_fold([7], _triangle_cells, 3) == serial
-
-
-def _clique_cells(g):
-    return [((g.m, s), count_s_cliques(g, s)) for s in (3, 4, 5)]
+    serial = argmax_fold([7], (3,))
+    assert argmax_fold([7], (3,), 2) == serial
+    assert argmax_fold([7], (3,), 3) == serial
 
 
 def test_argmax_fold_equals_a_fold_over_connected_graphs():
@@ -516,13 +515,40 @@ def test_argmax_fold_equals_a_fold_over_connected_graphs():
     for n in range(1, 8):
         best = reference[n] = {}
         for g in connected_graphs(EnumerationTask(n)):
-            for cell, value in _clique_cells(g):
+            for cell, value in (((g.m, s), count_s_cliques(g, s)) for s in (3, 4, 5)):
                 if cell not in best or value > best[cell][0]:
                     best[cell] = (value, [g])
                 elif value == best[cell][0]:
                     best[cell][1].append(g)
     for workers in (1, 2):
-        assert argmax_fold(range(1, 8), _clique_cells, workers) == reference
+        assert argmax_fold(range(1, 8), (3, 4, 5), workers) == reference
+
+
+def _carried_counts(monkeypatch, task, svals):
+    """(leaf, m, s, k_s) as one fold task carries them, for every leaf and s."""
+    seen = []
+    monkeypatch.setattr(enumeration, "_keep_max",
+                        lambda best, cell, value, graphs: seen.append((graphs[0], *cell, value)))
+    _fold_task(svals, task)
+    assert {(g, s) for g, _, s, _ in seen} == {(g, s) for g, *_ in seen for s in svals}
+    return seen
+
+
+def test_fold_carries_each_leafs_size_and_clique_counts_from_its_parent(monkeypatch):
+    """A leaf's m and k_s are its parent's plus the new vertex's mask
+    term. They equal the from-scratch counts on every leaf (sibling
+    duplicates included) up to n = 8 and on the first order-9 root task,
+    and the subset oracle up to n = 6 at every s from 3 to n + 1."""
+    from test_cliques import brute_count
+
+    tasks = [EnumerationTask(n) for n in range(1, 9)]
+    tasks.append(EnumerationTask(9, None, _frontier(9, None)[:1]))
+    for task in tasks:
+        for g, m, s, value in _carried_counts(monkeypatch, task, (1, 2, 3, 4, 5)):
+            assert (g.n, m, value) == (task.n, g.m, clique_counts_upto(g, 5)[s - 1]), (g, s)
+    for n in range(2, 7):
+        for g, _, s, value in _carried_counts(monkeypatch, EnumerationTask(n), tuple(range(3, n + 2))):
+            assert value == brute_count(g, s), (g, s)
 
 
 def test_fold_searches_only_internal_nodes_and_attaining_leaves():
@@ -531,5 +557,5 @@ def test_fold_searches_only_internal_nodes_and_attaining_leaves():
     triangle maximum: 5406 searches in all, where canonicalizing every
     leaf, as the one pass over n = 8 does, takes 17494."""
     canonical_form.cache_clear()
-    argmax_fold([8], _triangle_cells)
+    argmax_fold([8], (3,))
     assert canonical_form.cache_info().misses == 5406

@@ -371,7 +371,7 @@ def test_erdos_bound_is_the_knapsack_of_connected_maxima():
     # k_s adds over components, so the best multiset of connected maxima
     # (isolated vertices included) is the maximum over all (n, m) graphs
     svals = (3, 4, 5)
-    folded = argmax_fold(range(1, 8), lambda g: [((g.m, s), count_s_cliques(g, s)) for s in svals])
+    folded = argmax_fold(range(1, 8), svals)
     best = {(0, 0, s): 0 for s in svals}  # (n, m, s): maximum k_s over all graphs
     for n in range(1, 8):
         for m in range(choose(n, 2) + 1):

@@ -13,9 +13,9 @@ from cliquex import (
     verify_max_cliques,
     verify_s_order_last,
 )
-from cliquex.enumeration import argmax_fold
+from cliquex.enumeration import EnumerationTask, argmax_fold, connected_graphs
 from cliquex.graphs import canonical_form, to_graph6
-from cliquex.verify import _clique_cells, _moment_gallery
+from cliquex.verify import _moment_gallery
 
 SCHEMA_KEYS = {"n", "m", "s", "predicted", "observed", "status", "witnesses", "ties"}
 
@@ -100,17 +100,19 @@ def test_s_order_witnesses_reverify():
             assert moment_sequence(from_graph6(text)) == star_key
 
 
-def _moments_and_triangles(g):
-    # the reference key, every class's full moment sequence, beside the harness's k_3 cell
-    return [(("moments", g.m), moment_sequence(g)), *_clique_cells((3,), g)]
-
-
 def test_triangle_shortcut_matches_all_moments_fold():
-    # one pass per order folds both keys, so n = 8 is enumerated once
     cells_checked = 0
-    for n, cells in argmax_fold(range(4, 9), _moments_and_triangles).items():
+    for n, cells in argmax_fold(range(4, 9), (3,)).items():
+        # the reference: every class's full moment sequence, folded per size
+        moments: dict = {}
+        for g in connected_graphs(EnumerationTask(n)):
+            key = moment_sequence(g)
+            if g.m not in moments or key > moments[g.m][0]:
+                moments[g.m] = (key, [g])
+            elif key == moments[g.m][0]:
+                moments[g.m][1].append(g)
         for m in range(n, n * (n - 1) // 2 + 1):
-            best, attain = cells[("moments", m)]
+            best, attain = moments[m]
             gallery, broken = _moment_gallery(*cells[(m, 3)])
             assert not broken, (n, m)
             assert moment_sequence(gallery[0]) == best, (n, m)
@@ -121,12 +123,14 @@ def test_triangle_shortcut_matches_all_moments_fold():
 
 def test_s_order_cell_breaking_the_triangle_identity_is_a_mismatch(monkeypatch):
     import cliquex.verify as verify
-    from cliquex.enumeration import EnumerationTask, connected_graphs
 
-    counts = verify.clique_counts_upto
-    # one triangle too many, so S_3 = 6 k_3 fails on every triangle maximizer
-    monkeypatch.setattr(verify, "clique_counts_upto",
-                        lambda g, s: tuple(c + (i == 2) for i, c in enumerate(counts(g, s))))
+    fold = verify.argmax_fold
+
+    def one_more_triangle(*args):  # so S_3 = 6 k_3 fails on every triangle maximizer
+        return {n: {cell: (value + 1, graphs) for cell, (value, graphs) in cells.items()}
+                for n, cells in fold(*args).items()}
+
+    monkeypatch.setattr(verify, "argmax_fold", one_more_triangle)
     report = verify_s_order_last(5)
     assert report.grid and report.mismatches == report.grid
     cells = {(c["n"], c["m"]): c for c in report.grid}
