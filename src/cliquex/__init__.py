@@ -29,12 +29,7 @@ from .extremal import (
 )
 from .graphs import (
     Graph,
-    Graph6AlphabetError,
     Graph6Error,
-    Graph6HeaderError,
-    Graph6PaddingError,
-    Graph6TrailingError,
-    Graph6TruncatedError,
     canonical_form,
     canonical_graph,
     from_edge_list,
@@ -66,12 +61,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EnumerationTask",
     "Graph",
-    "Graph6AlphabetError",
     "Graph6Error",
-    "Graph6HeaderError",
-    "Graph6PaddingError",
-    "Graph6TrailingError",
-    "Graph6TruncatedError",
     "MomentVector",
     "SOrderResult",
     "VerificationReport",

@@ -38,7 +38,7 @@ from .extremal import (
     kernel,
     max_cliques_bound,
 )
-from .graphs import EDGE_LINE, Graph, Graph6Error, from_edge_list, from_graph6, text_lines, to_graph6
+from .graphs import EDGE_LINE, Graph, from_edge_list, from_graph6, text_lines, to_graph6
 from .spectral import moment_sequence, s_order_compare, spectral_moments
 from .verify import (
     VerificationReport,
@@ -278,7 +278,7 @@ def run(argv: list[str]) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     except (_Usage, OSError, ValueError) as exc:
         print(f"cliquex: {exc}", file=sys.stderr)
-        usage = isinstance(exc, (_Usage, Graph6Error, OSError))
+        usage = isinstance(exc, (_Usage, OSError))
         return EXIT_USAGE if usage else EXIT_INFEASIBLE
 
 

@@ -46,27 +46,7 @@ CanonicalForm = str
 
 
 class Graph6Error(ValueError):
-    """Base class for malformed graph6 input."""
-
-
-class Graph6HeaderError(Graph6Error):
-    """Order header missing, out of range, or not decodable."""
-
-
-class Graph6TruncatedError(Graph6Error):
-    """Record ends before the full upper-triangle bit field."""
-
-
-class Graph6TrailingError(Graph6Error):
-    """Extra bytes after the bit field."""
-
-
-class Graph6PaddingError(Graph6Error):
-    """Nonzero bits in the zero-padding tail of the last data byte."""
-
-
-class Graph6AlphabetError(Graph6Error):
-    """A non-ASCII character, or a data byte outside the graph6 alphabet."""
+    """Malformed graph6 input; the message names the check that failed."""
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -432,42 +412,42 @@ def from_graph6(text: str) -> Graph:
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
     if not s:
-        raise Graph6HeaderError("empty record")
+        raise Graph6Error("empty record")
     if not s.isascii():
-        raise Graph6AlphabetError("non-ASCII character in record")
+        raise Graph6Error("non-ASCII character in record")
     data = s.encode("ascii")
     if data[0] == 126:  # '~': multi-byte order
         if len(data) >= 2 and data[1] == 126:
-            raise Graph6HeaderError("8-byte order field exceeds the 64-vertex cap")
+            raise Graph6Error("8-byte order field exceeds the 64-vertex cap")
         if len(data) < 4:
-            raise Graph6HeaderError("truncated multi-byte order field")
+            raise Graph6Error("truncated multi-byte order field")
         hi, mid, lo = data[1] - 63, data[2] - 63, data[3] - 63
         if not all(0 <= x < 64 for x in (hi, mid, lo)):
-            raise Graph6HeaderError("order bytes outside graph6 alphabet")
+            raise Graph6Error("order bytes outside graph6 alphabet")
         n = (hi << 12) | (mid << 6) | lo
         body = data[4:]
     else:
         n = data[0] - 63
         if n < 0 or data[0] > 126:
-            raise Graph6HeaderError(f"order byte {data[0]} outside graph6 alphabet")
+            raise Graph6Error(f"order byte {data[0]} outside graph6 alphabet")
         body = data[1:]
     if n > MAX_VERTICES:
-        raise Graph6HeaderError(f"order {n} exceeds the {MAX_VERTICES}-vertex cap")
+        raise Graph6Error(f"order {n} exceeds the {MAX_VERTICES}-vertex cap")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(body) < need:
-        raise Graph6TruncatedError(f"need {need} data bytes, found {len(body)}")
+        raise Graph6Error(f"need {need} data bytes, found {len(body)}")
     if len(body) > need:
-        raise Graph6TrailingError(f"{len(body) - need} trailing bytes after bit field")
+        raise Graph6Error(f"{len(body) - need} trailing bytes after bit field")
     field = 0
     for byte in body:
         group = byte - 63
         if not 0 <= group < 64:
-            raise Graph6AlphabetError(f"data byte {byte} outside graph6 alphabet")
+            raise Graph6Error(f"data byte {byte} outside graph6 alphabet")
         field = (field << 6) | group
     pad = 6 * need - nbits
     if field & ((1 << pad) - 1):
-        raise Graph6PaddingError("nonzero padding bits")
+        raise Graph6Error("nonzero padding bits")
     # the bits run most significant first, in the column-major order to_graph6 writes
     rows = [0] * n
     bit = nbits + pad

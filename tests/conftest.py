@@ -1,9 +1,12 @@
+import os
 import random
 
 import pytest
 
 from cliquex import EnumerationTask, Graph, canonical_form, connected_graphs
 
+# The slow tests (the n = 8 grids and the n = 9 folds and reports) run only when set.
+EXTENDED = os.environ.get("CLIQUEX_EXTENDED") == "1"
 
 # Edge lists that must not parse: records split on "\n" only (RS, FS, VT and
 # NEL separate nothing), and endpoints are ASCII digits between ASCII whitespace.

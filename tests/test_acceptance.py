@@ -7,7 +7,6 @@ pinned n = 9 theorem reports are gated behind CLIQUEX_EXTENDED=1.
 """
 
 import hashlib
-import os
 import random
 import time
 from collections import Counter
@@ -28,11 +27,9 @@ from cliquex import (
 )
 from cliquex.enumeration import EnumerationTask, connected_graphs
 from cliquex.graphs import canonical_form, to_graph6
-from conftest import random_graph
+from conftest import EXTENDED, random_graph
 from labeled_oracle import labeled_classes
 from polya_oracle import connected_counts
-
-EXTENDED = os.environ.get("CLIQUEX_EXTENDED") == "1"
 
 # sha256 of `cliquex enumerate --n 8`: the sorted graph6 lines, one per class
 ENUMERATE_N8_SHA256 = "8e7075e223c1a2727f8de7b26c35d98364a8c70bcffefd84594ff010a420c738"

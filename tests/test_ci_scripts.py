@@ -46,3 +46,26 @@ def test_same_report_compares_reports_and_raw_output(tmp_path, monkeypatch):
     known = {pin for _, pin in workloads.ENUM_PINS.values()} | set(workloads.REPORT_PINS.values())
     pins = re.findall(r"\b[0-9a-f]{64}\b", (SCRIPTS / "cold_start.sh").read_text())
     assert pins and set(pins) <= known
+
+
+def load_mutants():
+    spec = importlib.util.spec_from_file_location("mutants", SCRIPTS / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_each_mutant_replaces_one_string_and_names_tests_that_exist():
+    mutants = load_mutants()
+    for row in mutants.ROWS:
+        assert mutants.mutant_text(ROOT, row) != (ROOT / row.path).read_text(), row
+        for test in row.tests:
+            path, name = test.split("::")
+            assert f"\ndef {name}(" in (ROOT / path).read_text(), test
+
+
+def test_a_mutant_that_changes_nothing_survives():
+    mutants = load_mutants()
+    row = mutants.Row("src/cliquex/graphs.py", "nonzero padding bits", "nonzero padding bits",
+                      ("tests/test_graphs.py::test_graph6_optional_prefix",))
+    assert not mutants.killed(row)

@@ -457,6 +457,16 @@ TRANSCRIPTS = [
     # the pooled lemma report is the serial one, byte for byte
     (("verify", "lemmas", "--nmax", "5", "--seed", "2", "--iterations", "50", "--workers", "2"), "",
      "0e3c7dab489a8f06"),
+    # one more record for each graph6 check that stdin can reach
+    (("count", "--s", "3"), "~~??????\n", "84d9a1575a263dd6"),
+    (("count", "--s", "3"), "~??\n", "2f5a030e3a70d1a6"),
+    (("count", "--s", "3"), "~!!!\n", "bca0d93e66d53c5d"),
+    (("count", "--s", "3"), "!\n", "52a9106d8a3efd3e"),
+    (("count", "--s", "3"), "~?@@\n", "9070d02fa94fef53"),
+    (("count", "--s", "3"), "B!\n", "57e87415a9d33dba"),
+    (("count", "--s", "3"), "Bw?\n", "938b4997650afc21"),
+    (("count", "--s", "3"), "B`\n", "d42f72ca9485ce0b"),
+    (("count", "--s", "3"), "Bw\x1f\n", "938b4997650afc21"),
 ]
 
 

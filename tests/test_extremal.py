@@ -22,7 +22,7 @@ from cliquex import (
     max_cliques_bound,
     peel_random_order,
 )
-from conftest import random_connected_graph, random_graph
+from conftest import EXTENDED, random_connected_graph, random_graph
 
 
 # ── decompositions ────────────────────────────────────────────────
@@ -367,26 +367,42 @@ def test_clique_free_band(rng):
                 assert count_s_cliques(g, s) == 0
 
 
-def test_erdos_bound_is_the_knapsack_of_connected_maxima():
+# n: the (m, s) pairs where K_r^t, on r + (t > 0) vertices, fits in n
+# vertices, and the (m, s) cells where the connected maximum lies strictly
+# below the maximum over all graphs, for s in {3, 4, 5}
+KNAPSACK_COUNTS = {1: (3, 0), 2: (6, 0), 3: (12, 0), 4: (21, 1), 5: (33, 4), 6: (48, 11), 7: (66, 23),
+                   8: (87, 38), 9: (111, 57)}
+
+
+def knapsack_counts(n_max: int, workers: int) -> dict[int, tuple[int, int]]:
+    """Check the knapsack over the connected maxima against erdos_bound at
+    every order up to n_max, and count each order's pairs and cells as
+    KNAPSACK_COUNTS does."""
     # k_s adds over components, so the best multiset of connected maxima
     # (isolated vertices included) is the maximum over all (n, m) graphs
     svals = (3, 4, 5)
-    folded = argmax_fold(range(1, 8), svals)
+    folded = argmax_fold(range(1, n_max + 1), svals, workers)
     best = {(0, 0, s): 0 for s in svals}  # (n, m, s): maximum k_s over all graphs
-    for n in range(1, 8):
+    counts = {}
+    for n in range(1, n_max + 1):
         for m in range(choose(n, 2) + 1):
             for s in svals:
                 best[n, m, s] = max(best[n - a, m - b, s] + value
                                     for a in range(1, n + 1)
                                     for (b, order), (value, _) in folded[a].items()
                                     if order == s and (n - a, m - b, s) in best)
-    # the (m, s) where K_r^t, on r + (t > 0) vertices, fits in seven
-    fits = [(m, s) for m, (r, t) in enumerate(map(decompose_erdos, range(22))) for s in svals if r + (t > 0) <= 7]
-    assert len(fits) == 66
-    assert all(best[7, m, s] == erdos_bound(m, s) for m, s in fits)
-    below = 0
-    for n in range(3, 8):
-        for (m, s), (value, _) in folded[n].items():
-            assert value <= best[n, m, s]
-            below += value < best[n, m, s]
-    assert below == 39
+        fits = [(m, s) for m, (r, t) in enumerate(map(decompose_erdos, range(choose(n, 2) + 1)))
+                for s in svals if r + (t > 0) <= n]
+        assert all(best[n, m, s] == erdos_bound(m, s) for m, s in fits)
+        assert all(value <= best[n, m, s] for (m, s), (value, _) in folded[n].items())
+        counts[n] = len(fits), sum(value < best[n, m, s] for (m, s), (value, _) in folded[n].items())
+    return counts
+
+
+def test_erdos_bound_is_the_knapsack_of_connected_maxima():
+    assert knapsack_counts(8, 1) == {n: KNAPSACK_COUNTS[n] for n in range(1, 9)}
+
+
+@pytest.mark.skipif(not EXTENDED, reason="set CLIQUEX_EXTENDED=1 for the n=9 fold")
+def test_erdos_bound_is_the_knapsack_of_connected_maxima_at_order_nine():
+    assert knapsack_counts(9, 2) == KNAPSACK_COUNTS

@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import re
 import tracemalloc
 
 import networkx as nx
@@ -10,12 +11,7 @@ from hypothesis import strategies as st
 from cliquex import (
     EnumerationTask,
     Graph,
-    Graph6AlphabetError,
     Graph6Error,
-    Graph6HeaderError,
-    Graph6PaddingError,
-    Graph6TrailingError,
-    Graph6TruncatedError,
     canonical_form,
     canonical_graph,
     construct_bridge,
@@ -222,35 +218,32 @@ def test_graph6_optional_prefix():
     assert from_graph6(">>graph6<<Bw") == Graph.complete(3)
 
 
+# One row for each check in from_graph6: a pattern that fits its message
+# and no other check's, and the records that fail that check.
+GRAPH6_CHECKS = [
+    (r"^empty record$", [""]),
+    (r"^non-ASCII character in record$", ["B\u00e9"]),  # not a replacement-character graph
+    (r"^8-byte order field exceeds the 64-vertex cap$", ["~~??????"]),
+    (r"^truncated multi-byte order field$", ["~??"]),  # the 4-byte order form cut short
+    (r"^order bytes outside graph6 alphabet$", ["~!!!"]),
+    (r"^order byte 33 outside graph6 alphabet$", ["!"]),
+    (r"^order 65 exceeds the 64-vertex cap$", ["~" + chr(63) + chr(63 + 1) + chr(63 + 1)]),
+    (r"^need 2 data bytes, found 1$", ["D?"]),
+    (r"^1 trailing bytes after bit field$", ["Bw?", "Bw\x1f"]),  # control bytes are data, not whitespace
+    (r"^data byte 3[13] outside graph6 alphabet$", ["B\x1f", "B!"]),  # right length, byte below the alphabet
+    (r"^nonzero padding bits$", ["B`", "Bc"]),  # the zero-padding tail must be zero
+]
+
+
 def test_graph6_parse_errors_are_distinct():
-    with pytest.raises(Graph6HeaderError):
-        from_graph6("")
-    with pytest.raises(Graph6HeaderError):
-        from_graph6("~~??????")  # 8-byte order form is beyond the cap
-    with pytest.raises(Graph6HeaderError):
-        from_graph6("~??")  # the 4-byte order form cut short
-    with pytest.raises(Graph6HeaderError):
-        from_graph6("~!!!")  # order bytes below the alphabet
-    with pytest.raises(Graph6AlphabetError):
-        from_graph6("B\x1f")  # right length, data byte below the alphabet
-    with pytest.raises(Graph6Error):
-        from_graph6("Bw\x1f")  # control bytes are data, not whitespace
-    with pytest.raises(Graph6AlphabetError):
-        from_graph6("B!")
-    with pytest.raises(Graph6AlphabetError):
-        from_graph6("B\u00e9")  # non-ASCII, not a replacement-character graph
-    with pytest.raises(Graph6TruncatedError):
-        from_graph6("D?")
-    with pytest.raises(Graph6TrailingError):
-        from_graph6("Bw?")
-    # zero-padding tail must actually be zero
-    with pytest.raises(Graph6PaddingError):
-        from_graph6("B`")
-    with pytest.raises(Graph6PaddingError):
-        from_graph6("Bc")
-    with pytest.raises(Graph6HeaderError):
-        n65 = "~" + chr(63) + chr(63 + 1) + chr(63 + 1)  # order 65
-        from_graph6(n65)
+    messages = []
+    for pattern, records in GRAPH6_CHECKS:
+        for text in records:
+            with pytest.raises(Graph6Error, match=pattern) as info:
+                from_graph6(text)
+            messages.append(str(info.value))
+    for message in messages:  # the message alone names the check
+        assert sum(re.search(pattern, message) is not None for pattern, _ in GRAPH6_CHECKS) == 1
 
 
 def test_graph6_b_underscore_is_a_valid_record():
