@@ -53,6 +53,21 @@ ROWS = [
     Row("src/cliquex/graphs.py", 'raise Graph6Error("nonzero padding bits")',
         'raise Graph6Error(f"need {need} data bytes, found {len(body)}")',
         ("tests/test_graphs.py::test_graph6_parse_errors_are_distinct",)),
+    # the key table's spread recurrence is off by one vertex
+    Row("src/cliquex/enumeration.py", "self.spreads += [spread | 1 << 64 * v for spread in self.spreads]",
+        "self.spreads += [spread | 1 << 64 * (v + 1) for spread in self.spreads]",
+        ("tests/test_enumeration.py::test_parent_test_arithmetic_matches_the_rows",)),
+    # every folded leaf is canonicalized, not only the attaining ones
+    Row("src/cliquex/enumeration.py", "mask = g.adj[-1]  # the new vertex's neighbours in the parent",
+        "mask = g.adj[-1] + 0 * len(canonical_form(g))",
+        ("tests/test_enumeration.py::test_fold_searches_only_internal_nodes_and_attaining_leaves",)),
+    # a leaf's carried clique counts span its whole parent, not the new vertex's mask
+    Row("src/cliquex/enumeration.py", "within = _clique_counts(parent.adj, mask, max(top - 1, 1))",
+        "within = _clique_counts(parent.adj, (1 << parent.n) - 1, max(top - 1, 1))",
+        ("tests/test_enumeration.py::test_fold_carries_each_leafs_size_and_clique_counts_from_its_parent",)),
+    # the deletion identity counts the neighbourhood up to s - 1 however small it is
+    Row("src/cliquex/cliques.py", "if s - 1 <= nbrs.bit_count() else 0", "if True else 0",
+        ("tests/test_cliques.py::test_huge_clique_order_counts_zero_at_once",)),
     # a cold-start pin that no benchmark pin matches
     Row(".github/scripts/cold_start.sh", "2 ccf7e2b8788d", "2 ccf7e2b8788e",
         ("tests/test_ci_scripts.py::test_same_report_compares_reports_and_raw_output",)),

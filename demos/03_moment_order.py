@@ -38,7 +38,7 @@ for name, g in [
 # 8*phi(C_4): independent computations, identical numbers.
 
 g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)])
-print(f"\nS_4 by walks: {spectral_moments(g, 4).s[4]}, by subgraphs: {s4_via_subgraphs(g)}")
+print(f"\nS_4 by walks: {spectral_moments(g, 4)[4]}, by subgraphs: {s4_via_subgraphs(g)}")
 
 # ── the duel at t = 2 ─────────────────────────────────────────────
 # For sizes with t = 2 two families tie on triangles: the pendant

@@ -38,7 +38,6 @@ from .graphs import (
     to_graph6,
 )
 from .spectral import (
-    MomentVector,
     SOrderResult,
     count_c4,
     d_transformation,
@@ -62,7 +61,6 @@ __all__ = [
     "EnumerationTask",
     "Graph",
     "Graph6Error",
-    "MomentVector",
     "SOrderResult",
     "VerificationReport",
     "argmax_fold",

@@ -170,7 +170,7 @@ def _decompose(args: argparse.Namespace) -> list[str]:
 
 def _moments(args: argparse.Namespace) -> Iterator[str]:
     for g in _read_graphs(args):
-        moments = moment_sequence(g) if args.jmax is None else spectral_moments(g, args.jmax).s
+        moments = moment_sequence(g) if args.jmax is None else spectral_moments(g, args.jmax)
         yield " ".join(map(str, moments))
 
 

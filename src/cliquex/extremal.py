@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 from itertools import chain
 from math import comb, isqrt
-from typing import NamedTuple
 
 from .graphs import Graph, _bits
 
@@ -26,35 +25,28 @@ def choose(a: int, b: int) -> int:
     return comb(a, b)
 
 
-class Decomposition(NamedTuple):
-    """An (r, t) pair from decompose_connected or decompose_erdos."""
-
-    r: int
-    t: int
-
-
 def feasible_size(m: int, n: int) -> bool:
     """Whether some connected graph has n vertices and m edges."""
     return n >= 1 and n - 1 <= m <= n * (n - 1) // 2
 
 
-def decompose_connected(m: int, n: int) -> Decomposition:
-    """Unique (r, t) with m - n = C(r-1, 2) + t - 2 and 2 <= t <= r,
-    or (1, 1) for trees (m = n - 1)."""
+def decompose_connected(m: int, n: int) -> tuple[int, int]:
+    """The pair (r, t): unique with m - n = C(r-1, 2) + t - 2 and
+    2 <= t <= r, or (1, 1) for trees (m = n - 1)."""
     if not feasible_size(m, n):
         raise ValueError(f"no connected graph has n={n}, m={m}")
     excess = m - n
     if excess == -1:
-        return Decomposition(1, 1)
+        return 1, 1
     # the least r >= 2 with C(r-1, 2) + r = C(r, 2) + 1 >= excess + 2
     r = (3 + isqrt(1 + 8 * excess)) // 2
     t = excess + 2 - choose(r - 1, 2)
     assert 2 <= t <= r
-    return Decomposition(r, t)
+    return r, t
 
 
-def decompose_erdos(m: int) -> Decomposition:
-    """m = C(r, 2) + t with r maximal, hence 0 <= t < r.
+def decompose_erdos(m: int) -> tuple[int, int]:
+    """The pair (r, t) with m = C(r, 2) + t and r maximal, hence 0 <= t < r.
 
     Taking r maximal resolves the boundary ambiguity (t = r versus
     t' = 0 one step up); the clique bound is unaffected because
@@ -63,7 +55,7 @@ def decompose_erdos(m: int) -> Decomposition:
     if m < 0:
         raise ValueError("size must be non-negative")
     r = (1 + isqrt(1 + 8 * m)) // 2  # the greatest r with C(r, 2) <= m
-    return Decomposition(r, m - choose(r, 2))
+    return r, m - choose(r, 2)
 
 
 def max_cliques_bound(m: int, n: int, s: int) -> int:
@@ -92,8 +84,7 @@ def kernel(g: Graph, s: int) -> Graph:
     """
     if s < 0:
         raise ValueError("peeling threshold must be non-negative")
-    keep = kernel_vertices(g, s)
-    return g.induced_subgraph(keep) if keep else Graph(0, ())
+    return g._induced(sorted(kernel_vertices(g, s)))
 
 
 def kernel_vertices(g: Graph, s: int) -> frozenset[int]:

@@ -16,13 +16,6 @@ from .extremal import choose, kernel
 from .graphs import Graph
 
 
-class MomentVector(NamedTuple):
-    """Closed-walk counts (S_0, ..., S_j) of one graph."""
-
-    n: int
-    s: tuple[int, ...]
-
-
 class SOrderResult(NamedTuple):
     relation: Literal["before", "after", "equal"]
     first_differing_index: int | None
@@ -32,8 +25,9 @@ def _walk_bound(n: int, j_max: int) -> int:
     return n * max(n - 1, 1) ** j_max
 
 
-def spectral_moments(g: Graph, j_max: int) -> MomentVector:
-    """S_j = tr(A^j) for j = 0..j_max, in exact integer arithmetic.
+def spectral_moments(g: Graph, j_max: int) -> tuple[int, ...]:
+    """(S_0, ..., S_j_max) with S_j = tr(A^j), in exact integer
+    arithmetic; S_0 is the order n.
 
     Row u of A^k is one Python int with a lane of ``width`` bits per
     column. Row u of A^(k+1) is the sum of the rows at u's neighbours,
@@ -51,12 +45,12 @@ def spectral_moments(g: Graph, j_max: int) -> MomentVector:
     for _ in range(j_max):
         rows = [sum([rows[v] for v in nb]) for nb in nbrs]
         moments.append(sum((row >> shift) & lane for row, shift in zip(rows, shifts)))
-    return MomentVector(n, tuple(moments))
+    return tuple(moments)
 
 
 def moment_sequence(g: Graph) -> tuple[int, ...]:
     """The full comparison key (S_0, ..., S_{n-1})."""
-    return spectral_moments(g, max(g.n - 1, 0)).s
+    return spectral_moments(g, max(g.n - 1, 0))
 
 
 def count_c4(g: Graph) -> int:
@@ -132,11 +126,7 @@ def realize_with_kernel(h: Graph, targets: tuple[int, ...], n: int) -> Graph:
         )
 
     # relabel the core so position i carries degree base[i]
-    order = sorted(range(k), key=lambda v: (-h.degree(v), v))
-    perm = [0] * k
-    for pos, v in enumerate(order):
-        perm[v] = pos
-    g = h.relabel(perm)
+    g = h._induced(sorted(range(k), key=lambda v: (-h.degree(v), v)))
 
     i0 = excess_at[0]
     path_len = sum(1 for i in range(k, n) if targets[i] >= 2)

@@ -1,5 +1,10 @@
 import os
 import random
+import resource
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +23,25 @@ MALFORMED_EDGE_LISTS = [
     "+0 +1\n",
     "-1 2\n",
 ]
+
+
+def cap_address_space() -> None:
+    """Cap this process's address space at 512 MB (a preexec_fn)."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+
+def run_capped(source: str) -> subprocess.CompletedProcess:
+    """Run Python source against this tree's cliquex in a child process
+    under cap_address_space, so code that would allocate gigabytes fails
+    there with MemoryError (exit 1) instead of exhausting the test run."""
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(source)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+        preexec_fn=cap_address_space,
+    )
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.45) -> Graph:

@@ -3,7 +3,6 @@ import io
 import json
 import os
 import re
-import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +22,7 @@ from cliquex import (
 )
 from cliquex.cli import _decimal_text, run
 from cliquex.enumeration import _frontier, canonical_codes
-from conftest import MALFORMED_EDGE_LISTS
+from conftest import MALFORMED_EDGE_LISTS, cap_address_space
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -121,10 +120,6 @@ def test_count_parse_error(capsys, tmp_path, monkeypatch):
             assert (code, out) == (2, "") and err, (text, fmt)
 
 
-def _cap_address_space() -> None:
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
-
-
 def test_count_huge_vertex_number_fails_at_once():
     # The order is checked before one row per vertex is allocated. The
     # child's address space is capped at 512 MB, so a regression fails
@@ -135,7 +130,7 @@ def test_count_huge_vertex_number_fails_at_once():
         capture_output=True,
         text=True,
         timeout=60,
-        preexec_fn=_cap_address_space,
+        preexec_fn=cap_address_space,
     )
     assert (proc.returncode, proc.stdout) == (2, "") and "outside [0, 64]" in proc.stderr
 

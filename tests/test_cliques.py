@@ -10,7 +10,7 @@ from cliquex import (
     deletion_identity_check,
 )
 from cliquex.cliques import _clique_counts
-from conftest import random_graph
+from conftest import random_graph, run_capped
 
 
 def brute_count(g: Graph, s: int) -> int:
@@ -147,10 +147,15 @@ def test_deletion_identity_sides_match_subset_oracle(rng):
 
 
 def test_huge_clique_order_counts_zero_at_once():
-    g = construct_krt(5, 3)
-    assert count_s_cliques(g, 10**9) == 0
-    for v in range(g.n):
-        assert deletion_identity_check(g, v, 10**9) == (0, 0)
+    # run capped at 512 MB: counting up to s = 10**9 would allocate 8 GB
+    proc = run_capped("""
+        from cliquex import construct_krt, count_s_cliques, deletion_identity_check
+        g = construct_krt(5, 3)
+        assert count_s_cliques(g, 10**9) == 0
+        for v in range(g.n):
+            assert deletion_identity_check(g, v, 10**9) == (0, 0)
+    """)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_deletion_identity_rejects_bad_args():

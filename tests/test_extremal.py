@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -28,16 +29,18 @@ from conftest import EXTENDED, random_connected_graph, random_graph
 # ── decompositions ────────────────────────────────────────────────
 
 
-def brute_connected_decomposition(m, n):
-    """Search every (r, t) the definition admits."""
+@lru_cache(maxsize=None)
+def brute_connected_decomposition(excess):
+    """Search every (r, t) the definition admits for m - n = excess,
+    which is all the definition reads of (m, n)."""
     found = []
-    if m - n == -1:
+    if excess == -1:
         found.append((1, 1))
     for r in range(2, 80):
         for t in range(2, r + 1):
-            if m - n == choose(r - 1, 2) + t - 2:
+            if excess == choose(r - 1, 2) + t - 2:
                 found.append((r, t))
-    return found
+    return tuple(found)
 
 
 def test_decompose_connected_examples():
@@ -49,9 +52,9 @@ def test_decompose_connected_examples():
 def test_decompose_connected_unique_and_exhaustive():
     for n in range(1, 41):
         for m in range(n - 1, n * (n - 1) // 2 + 1):
-            sols = brute_connected_decomposition(m, n)
+            sols = brute_connected_decomposition(m - n)
             assert len(sols) == 1
-            assert tuple(decompose_connected(m, n)) == sols[0]
+            assert decompose_connected(m, n) == sols[0]
 
 
 def test_decompose_connected_rejects_infeasible():

@@ -16,6 +16,7 @@ from cliquex import (
 from cliquex.enumeration import EnumerationTask, argmax_fold, connected_graphs
 from cliquex.graphs import canonical_form, to_graph6
 from cliquex.verify import _moment_gallery
+from conftest import run_capped
 
 SCHEMA_KEYS = {"n", "m", "s", "predicted", "observed", "status", "witnesses", "ties"}
 
@@ -32,11 +33,16 @@ def test_max_cliques_grid_matches():
 
 
 def test_clique_orders_above_n_read_zero():
-    # counting to the largest order asked would allocate 8 GB per graph
-    report = verify_max_cliques(4, {3, 10**9})
-    assert not report.mismatches
-    assert len(report.grid) == 2 * 6  # each s at (3, 2..3) and (4, 3..6)
-    assert all(c["observed"] == 0 for c in report.grid if c["s"] == 10**9)
+    # counting to the largest order asked would allocate 8 GB per graph,
+    # so it runs capped at 512 MB
+    proc = run_capped("""
+        from cliquex import verify_max_cliques
+        report = verify_max_cliques(4, {3, 10**9})
+        assert not report.mismatches
+        assert len(report.grid) == 2 * 6  # each s at (3, 2..3) and (4, 3..6)
+        assert all(c["observed"] == 0 for c in report.grid if c["s"] == 10**9)
+    """)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_max_cliques_witnesses_reverify():
@@ -341,15 +347,14 @@ def test_mismatched_lemma_row_keeps_every_witness(monkeypatch):
 
 def test_pendant_star_row_fails_when_s4_is_negated_or_flat(monkeypatch):
     import cliquex.verify as verify
-    from cliquex.spectral import MomentVector
 
     moments = verify.spectral_moments
     # negated, S_4 is minimized by the pendant star; flat, every graph of a
     # family ties, so only families of pendant stars alone still pass
     for fourth, observed, witnesses in ((lambda s4: -s4, 5, 16), (lambda s4: 0, 5, 48)):
         def changed(g, j_max, fourth=fourth):
-            s = moments(g, j_max).s
-            return MomentVector(g.n, (*s[:4], fourth(s[4]), *s[5:]))
+            s = moments(g, j_max)
+            return (*s[:4], fourth(s[4]), *s[5:])
 
         monkeypatch.setattr(verify, "spectral_moments", changed)
         rows = {cell["lemma"]: cell for cell in verify_lemma_suite(0, 50, 6).grid}
