@@ -9,7 +9,9 @@
 # --nmax 7 on a walk that starts above order 3), carry clique counts there
 # at s = 5 and at clique orders up to and beyond the order (max-cliques
 # --s 3..8 at n <= 7), fold n = 8 with the most sibling duplicates among
-# its leaves, and run the lemma checks and pickle their pendant-star families.
+# its leaves, fold orders 7 and 8 from one walk of the order-8 tree, at
+# clique orders up to 8 (max-cliques --nmax 8 --s 3..8), and run the lemma
+# checks and pickle their pendant-star families.
 #
 # Usage: RUNNER_TEMP=$(mktemp -d) PYTHONPATH=src bash .github/scripts/cold_start.sh
 set -euo pipefail
@@ -29,6 +31,7 @@ done <<'ROWS'
 2 - verify max-cliques --nmax 7 --s 3,4,5
 2 - verify max-cliques --nmax 7 --s 3,4,5,6,7,8
 2 ccf7e2b8788d914915e5025b027cdb96b4ffd7596e24861904d3fc66d1a6b4d9 verify max-cliques --nmax 8 --s 3,4
+2 - verify max-cliques --nmax 8 --s 3,4,5,6,7,8
 2 - verify extremal-kernels --nmax 6 --s 3,4
 2 - verify extremal-kernels --nmax 7 --s 4,5
 1 - verify s-order --nmax 6

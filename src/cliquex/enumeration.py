@@ -25,15 +25,17 @@ Children and tied deletions of a valid parent are valid by
 construction and skip ``Graph`` validation.
 
 Both consumers share one walk per task, ``_leaf_batches``, which hands
-over each order n - 1 node with its accepted leaves and their sibling
-duplicates, a class's only ones; nodes below are deduplicated.
-``canonical_codes`` yields each class's canonical graph6 code, which
-``cliquex enumerate`` prints as is and ``connected_graphs`` decodes.
-``argmax_fold``, the one fold of clique counts over the classes of each
-order, counts each order n - 1 node's cliques once and each leaf's from
-its new vertex's mask alone. It folds the raw leaves and canonicalizes
-only those that attain a maximum, so a class count per (n, m) must come
-from ``canonical_codes``, never from it.
+over every node from the roots' order to n - 1 with its accepted
+children and their sibling duplicates, a class's only ones; the first
+child of each class is the next node. ``canonical_codes`` reads the
+order n - 1 nodes' children and yields each class's canonical graph6
+code, which ``cliquex enumerate`` prints as is and ``connected_graphs``
+decodes. ``argmax_fold``, the one fold of clique counts over the classes
+of each order, reads every level, so the top order's tasks fold every
+order above the frontier too. It counts each node's cliques once and
+each child's from its new vertex's mask alone. It folds the raw children
+and canonicalizes only those that attain a maximum, so a class count
+per (n, m) must come from ``canonical_codes``, never from it.
 The edge budget in ``_accepted`` is the only size rule.
 ``map_partitions`` makes one task per frontier root of each order at
 every worker count, and runs them in process or, for ``workers > 1``,
@@ -170,11 +172,11 @@ def _accepted(parent: Graph, n: int, m: int | None) -> list[Graph]:
     return [Graph._trusted(k + 1, rows) for rows in map(test.child_rows, sized) if rows is not None]
 
 
-def _children(parent: Graph, n: int, m: int | None) -> Iterator[Graph]:
-    """Accepted children of one parent, the first of each class in mask order."""
+def _firsts(graphs: Iterable[Graph]) -> Iterator[Graph]:
+    """The first graph of each class, in order."""
     firsts: dict[CanonicalForm, Graph] = {}
-    for child in _accepted(parent, n, m):
-        firsts.setdefault(canonical_form(child), child)
+    for g in graphs:
+        firsts.setdefault(canonical_form(g), g)
     return iter(firsts.values())
 
 
@@ -186,31 +188,35 @@ def _frontier(n: int, m: int | None) -> list[Graph]:
     """The roots of the (n, m) generation tree's subtrees, in canonical order."""
     frontier = [Graph(1, (0,))]
     for _ in range(1, _frontier_order(n)):
-        frontier = [child for parent in frontier for child in _children(parent, n, m)]
+        frontier = [child for parent in frontier for child in _firsts(_accepted(parent, n, m))]
     return sorted(frontier, key=canonical_form)
 
 
 def _leaf_batches(task: EnumerationTask) -> Iterator[tuple[Graph, list[Graph]]]:
-    """The walk of one task: each order n - 1 node in turn with its
-    accepted leaves in mask order, sibling duplicates included. Nodes
-    below order n - 1 are deduplicated by code, so no subtree repeats.
+    """The walk of one task: each node from the roots' order to n - 1 with
+    its accepted children in mask order, sibling duplicates included; the
+    first child of each class is a later node, so none is tested twice.
     No leaf needs a size check: the last step adds exactly m - e edges."""
     n, m = task.n, task.m
     for root in _frontier(n, m) if task.roots is None else task.roots:
         stack = [root]
         while stack:
             g = stack.pop()
+            if g.n == n:  # only K1, the one child of the empty graph
+                yield Graph._trusted(0, ()), [g]
+                continue
+            accepted = _accepted(g, n, m)
+            yield g, accepted
             if g.n < n - 1:
-                stack.extend(_children(g, n, m))
-            else:  # g.n == n only for K1, the one child of the empty graph
-                yield (g, _accepted(g, n, m)) if g.n < n else (Graph._trusted(0, ()), [g])
+                stack.extend(_firsts(accepted))
 
 
 def canonical_codes(task: EnumerationTask) -> Iterator[CanonicalForm]:
     """Each class's code, as ``canonical_form`` holds it, in ``connected_graphs``
     order: per parent, the first leaf of each class, taken in reverse."""
-    for _, leaves in _leaf_batches(task):
-        yield from reversed(dict.fromkeys(map(canonical_form, leaves)))
+    for parent, leaves in _leaf_batches(task):
+        if parent.n == task.n - 1:
+            yield from reversed(dict.fromkeys(map(canonical_form, leaves)))
 
 
 def connected_graphs(task: EnumerationTask) -> Iterator[Graph]:
@@ -249,16 +255,17 @@ def _keep_max(best: dict, cell: Hashable, value, graphs: list[Graph]) -> None:
 
 
 def _fold_task(svals: tuple[int, ...], task: EnumerationTask) -> dict:
-    top = min(max(svals), task.n)  # no clique is larger than the graph
     best: dict = {}
     for parent, leaves in _leaf_batches(task):
+        n = parent.n + 1
+        top = min(max(svals), n)  # no clique is larger than the graph
         counts, e = _clique_counts(parent.adj, (1 << parent.n) - 1, top), parent.m
         for g in reversed(leaves):
             mask = g.adj[-1]  # the new vertex's neighbours in the parent
             within = _clique_counts(parent.adj, mask, max(top - 1, 1))  # top is 1 only for K1
             m = e + mask.bit_count()
             for s in svals:
-                _keep_max(best, (m, s), counts[s] + within[s - 1] if s <= top else 0, [g])
+                _keep_max(best, (n, m, s), counts[s] + within[s - 1] if s <= top else 0, [g])
     # a class's duplicates are siblings and attain together; its last sits where connected_graphs has it
     for cell, (value, graphs) in best.items():
         codes = dict.fromkeys(map(canonical_form, reversed(graphs)))
@@ -271,20 +278,25 @@ def argmax_fold(orders: Iterable[int], svals: Iterable[int], workers: int = 1) -
     connected graphs of each order n, for each clique order s >= 1 in
     ``svals``.
 
-    Each leaf is its order n - 1 parent P plus one vertex v joined to a
-    mask of P, so k_s(leaf) = k_s(P) + k_{s-1}(P[mask]), the deletion
-    identity at v. P's counts are taken once, each leaf's from its mask
+    Each graph of order n is its parent P plus one vertex v joined to a
+    mask of P, so k_s(G) = k_s(P) + k_{s-1}(P[mask]), the deletion
+    identity at v. P's counts are taken once, each child's from its mask
     alone, and only up to min(max(svals), n): a larger s reads 0.
-    A task canonicalizes only its attaining leaves. Each task's part
-    merges by the same rule as it arrives, in task order, so the maxima
-    and the attaining lists, in the yield order of one whole-order pass,
-    do not depend on ``workers``.
+    A task canonicalizes only its attaining graphs. The top order's tasks
+    fold every order above its frontier too: their roots are those
+    orders' frontier roots, in the same order. Each task's part merges
+    by the same rule as it arrives, in task order, so the maxima and the
+    attaining lists, in the yield order of one whole-order pass, depend
+    neither on ``workers`` nor on the other orders asked for.
     """
     svals = tuple(svals)
     if not svals or min(svals) < 1:
         raise ValueError("clique orders must be given, and each must be at least 1")
     folded: dict[int, dict] = {n: {} for n in orders}
-    for n, part in map_partitions(partial(_fold_task, svals), folded, workers=workers):
-        for cell, (value, graphs) in part.items():
-            _keep_max(folded[n], cell, value, graphs)
+    top = max(folded, default=0)
+    walks = [n for n in folded if n <= _frontier_order(top) or n == top]
+    for _, part in map_partitions(partial(_fold_task, svals), walks, workers=workers):
+        for (n, m, s), (value, graphs) in part.items():
+            if n in folded:
+                _keep_max(folded[n], (m, s), value, graphs)
     return folded

@@ -13,8 +13,9 @@ the exhaustive ones run per frontier-root task on `map_partitions` and return
 tallies and pendant-star families, which `_lemma_rows` merges in task order.
 
 The theorem reports are views of one walk, `_clique_grid`, which checks
-the order cap, folds the clique counts once per order with `argmax_fold`
-(each leaf's counts carried from its parent) and yields each
+the order cap, folds the clique counts with `argmax_fold` (the orders
+above the frontier in one walk, each leaf's counts carried from its
+parent) and yields each
 feasible (n, m, s) point with its maximum and attaining graphs; a view
 maps a point to its cell, or to None where its theorem claims nothing.
 s-order ranks only the k_3 maximizers by moments: S_0..S_2 are fixed per

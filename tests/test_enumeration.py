@@ -21,8 +21,9 @@ from cliquex import (
     to_graph6,
 )
 from cliquex.enumeration import (
-    _children,
+    _accepted,
     _degree_key,
+    _firsts,
     _fold_task,
     _frontier,
     _ParentTest,
@@ -87,7 +88,7 @@ def test_parent_test_matches_reference_rule():
                     deleted = _without_vertex(child.adj, u)
                     assert deleted == without(child, u)
                     assert Graph(deleted.n, deleted.adj) == deleted
-            for child in _children(parent, 7, None):
+            for child in _firsts(_accepted(parent, 7, None)):
                 assert child == parent.add_vertex(child.neighbors(k))
                 assert Graph(child.n, child.adj) == child
                 grown.append(child)
@@ -116,7 +117,7 @@ def test_parent_test_arithmetic_matches_the_rows():
                     assert lane == _degree_key(_without_vertex(rows, u).degrees()), (parent, mask, u)
                     assert test.is_cut(u, mask) == _is_cut_vertex(rows, u), (parent, mask, u)
                     checked += 1
-        level = [child for parent in level for child in _children(parent, 7, None)]
+        level = [child for parent in level for child in _firsts(_accepted(parent, 7, None))]
     assert checked == sum(CONNECTED_TOTALS[k] * ((1 << k) - 1) * k for k in range(1, 7)) == 46000
 
 
@@ -125,8 +126,9 @@ def test_key_table_at_its_widest_matches_the_rows():
     the n = 9 tree, 2**8 entries at the widest: for every neighbour mask
     and every parent vertex u, the packed key of child - u is the degree
     key of the deleted rows."""
-    order_seven = [child for root in _frontier(9, None)[::32] for child in _children(root, 9, None)]
-    order_eight = [next(_children(parent, 9, None)) for parent in order_seven[::2]]
+    order_seven = [child for root in _frontier(9, None)[::32]
+                   for child in _firsts(_accepted(root, 9, None))]
+    order_eight = [next(_firsts(_accepted(parent, 9, None))) for parent in order_seven[::2]]
     checked = 0
     for parent in order_seven + order_eight:
         k, test = parent.n, _ParentTest(parent)
@@ -217,7 +219,7 @@ def test_twin_pruning_loses_no_child(m):
     for _ in range(1, 7):
         grown = []
         for parent in level:
-            children = list(_children(parent, 7, m))
+            children = list(_firsts(_accepted(parent, 7, m)))
             assert [c.adj for c in children] == [c.adj for c in reference_children(parent, 7, m)]
             grown.extend(children)
         level = grown
@@ -233,7 +235,7 @@ def _transposition_fixes(g: Graph, a: int, b: int) -> bool:
 def _check_twins(g: Graph) -> None:
     for a, b in itertools.combinations(range(g.n), 2):
         assert are_twins(g.adj, a, b) == are_twins(g.adj, b, a) == _transposition_fixes(g, a, b)
-    # _children compares each vertex with the least member of a class only
+    # _accepted compares each vertex with the least member of a class only
     for a, b, c in itertools.permutations(range(g.n), 3):
         assert not (are_twins(g.adj, a, b) and are_twins(g.adj, b, c)) or are_twins(g.adj, a, c)
 
@@ -525,29 +527,32 @@ def test_argmax_fold_equals_a_fold_over_connected_graphs():
 
 
 def _carried_counts(monkeypatch, task, svals):
-    """(leaf, m, s, k_s) as one fold task carries them, for every leaf and s."""
+    """(leaf, n, m, s, k_s) as one fold task carries them, for every leaf and s."""
     seen = []
     monkeypatch.setattr(enumeration, "_keep_max",
                         lambda best, cell, value, graphs: seen.append((graphs[0], *cell, value)))
     _fold_task(svals, task)
-    assert {(g, s) for g, _, s, _ in seen} == {(g, s) for g, *_ in seen for s in svals}
+    assert {(g, s) for g, _, _, s, _ in seen} == {(g, s) for g, *_ in seen for s in svals}
     return seen
 
 
 def test_fold_carries_each_leafs_size_and_clique_counts_from_its_parent(monkeypatch):
-    """A leaf's m and k_s are its parent's plus the new vertex's mask
+    """A leaf's n, m and k_s are its parent's plus the new vertex's mask
     term. They equal the from-scratch counts on every leaf (sibling
     duplicates included) up to n = 8 and on the first order-9 root task,
-    and the subset oracle up to n = 6 at every s from 3 to n + 1."""
+    whose walk folds every order above the frontier, 7 to 9, and the
+    subset oracle up to n = 6 at every s from 3 to n + 1."""
     from test_cliques import brute_count
 
     tasks = [EnumerationTask(n) for n in range(1, 9)]
     tasks.append(EnumerationTask(9, None, _frontier(9, None)[:1]))
     for task in tasks:
-        for g, m, s, value in _carried_counts(monkeypatch, task, (1, 2, 3, 4, 5)):
-            assert (g.n, m, value) == (task.n, g.m, clique_counts_upto(g, 5)[s - 1]), (g, s)
+        leaves = _carried_counts(monkeypatch, task, (1, 2, 3, 4, 5))
+        assert {g.n for g, *_ in leaves} == set(range(min(task.n, 7), task.n + 1))
+        for g, n, m, s, value in leaves:
+            assert (n, m, value) == (g.n, g.m, clique_counts_upto(g, 5)[s - 1]), (g, s)
     for n in range(2, 7):
-        for g, _, s, value in _carried_counts(monkeypatch, EnumerationTask(n), tuple(range(3, n + 2))):
+        for g, _, _, s, value in _carried_counts(monkeypatch, EnumerationTask(n), tuple(range(3, n + 2))):
             assert value == brute_count(g, s), (g, s)
 
 
@@ -559,3 +564,35 @@ def test_fold_searches_only_internal_nodes_and_attaining_leaves():
     canonical_form.cache_clear()
     argmax_fold([8], (3,))
     assert canonical_form.cache_info().misses == 5406
+
+
+def test_orders_above_the_frontier_fold_as_they_do_alone():
+    """Orders 7 and 8 fold from one walk of the order-8 tree. Each order's
+    maxima and attaining lists, order within them included, are those of
+    the order folded alone, at 1 and 2 workers, whichever orders are asked."""
+    alone = {n: argmax_fold([n], (3, 4, 5))[n] for n in range(1, 9)}
+    for workers in (1, 2):
+        for orders in (range(1, 9), [8, 5], [7, 8], [8]):
+            folded = argmax_fold(orders, (3, 4, 5), workers)
+            assert list(folded) == list(orders)
+            assert folded == {n: alone[n] for n in orders}, (list(orders), workers)
+
+
+def test_one_walk_folds_every_order_above_the_frontier(monkeypatch):
+    """Orders 7 and 8 share the order-8 tasks: one per frontier root of
+    orders 3..6 and 8, 142 in all where a task list per order has 254. So
+    each order-6 node is tested once, not once per order above it, and
+    the canonical searches are those of the order-8 fold alone."""
+    walked, tested = [], []
+    leaf_batches, accepted = enumeration._leaf_batches, enumeration._accepted
+    monkeypatch.setattr(enumeration, "_leaf_batches",
+                        lambda task: walked.append((task.n, task.roots)) or leaf_batches(task))
+    monkeypatch.setattr(enumeration, "_accepted",
+                        lambda parent, n, m: tested.append(parent) or accepted(parent, n, m))
+    canonical_form.cache_clear()
+    argmax_fold(range(3, 9), (3,))
+    assert canonical_form.cache_info().misses == 5406
+    assert walked == [(n, (root,)) for n in (3, 4, 5, 6, 8) for root in _frontier(n, None)]
+    assert len(walked) == 142
+    order_six = [canonical_form(g) for g in tested if g.n == 6]
+    assert len(order_six) == len(set(order_six)) == 112
