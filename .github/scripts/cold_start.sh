@@ -11,7 +11,8 @@
 # --s 3..8 at n <= 7), fold n = 8 with the most sibling duplicates among
 # its leaves, fold orders 7 and 8 from one walk of the order-8 tree, at
 # clique orders up to 8 (max-cliques --nmax 8 --s 3..8), and run the lemma
-# checks and pickle their pendant-star families.
+# checks and pickle their pendant-star families, those of order 7 from the
+# order-8 tasks too (lemmas --nmax 8).
 #
 # Usage: RUNNER_TEMP=$(mktemp -d) PYTHONPATH=src bash .github/scripts/cold_start.sh
 set -euo pipefail
@@ -39,4 +40,5 @@ done <<'ROWS'
 2 c25723f54e552afa7255a5ffa75e0e2b1f087641a0f31c61fa0e5d93217b20f6 verify s-order --nmax 8
 2 787374cee939431a8825771f276fba885272702844b37dde42343637af30ee56 verify lemmas --nmax 7 --seed 0
 2 - verify lemmas --nmax 6 --seed 5 --iterations 200
+2 - verify lemmas --nmax 8 --seed 0 --iterations 200
 ROWS

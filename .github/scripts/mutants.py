@@ -46,8 +46,8 @@ ROWS = [
         "fewest <= mask.bit_count() <= most + (k == n - 1)]",
         ("tests/test_enumeration.py::test_emitted_graphs_are_canonical_and_in_cell",)),
     # one task's pendant-star families are merged twice
-    Row("src/cliquex/verify.py", "families.setdefault((n, code), (core, []))[1].extend(graphs)",
-        "families.setdefault((n, code), (core, []))[1].extend(graphs + graphs)",
+    Row("src/cliquex/verify.py", "families.setdefault(key, (core, []))[1].extend(graphs)",
+        "families.setdefault(key, (core, []))[1].extend(graphs + graphs)",
         ("tests/test_verify.py::test_pendant_star_families_merge_as_one_whole_order_pass",)),
     # the padding check reads as the truncation check
     Row("src/cliquex/graphs.py", 'raise Graph6Error("nonzero padding bits")',
@@ -71,6 +71,15 @@ ROWS = [
     # the deletion identity counts the neighbourhood up to s - 1 however small it is
     Row("src/cliquex/cliques.py", "if s - 1 <= nbrs.bit_count() else 0", "if True else 0",
         ("tests/test_cliques.py::test_huge_clique_order_counts_zero_at_once",)),
+    # extremal-kernels takes its clique orders unchecked, so --s 1,3 walks orders 1..5 before
+    # kernel() rejects s = 1 with the same exit code
+    Row("src/cliquex/verify.py", "svals = _clique_orders(s_values)  # below order",
+        "svals = tuple(sorted(s_values))  # below order",
+        ("tests/test_cli.py::test_bad_arguments_fail_before_enumerating",)),
+    # the lemma task checks only its own order's classes, so order 7 goes unchecked at n_max = 8
+    Row("src/cliquex/verify.py", "for g in walk_classes(task):",
+        "for g in (g for g in walk_classes(task) if g.n == task.n):",
+        ("tests/test_verify.py::test_lemma_checks_run_on_the_folds_task_list",)),
     # a cold-start pin that no benchmark pin matches
     Row(".github/scripts/cold_start.sh", "2 ccf7e2b8788d", "2 ccf7e2b8788e",
         ("tests/test_ci_scripts.py::test_same_report_compares_reports_and_raw_output",)),

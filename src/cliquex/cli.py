@@ -20,7 +20,6 @@ import re
 import string
 import sys
 from functools import lru_cache
-from itertools import chain
 from pathlib import Path
 from typing import Iterator
 
@@ -193,7 +192,7 @@ def _construct(args: argparse.Namespace) -> list[str]:
 
 def _enumerate(args: argparse.Namespace) -> list[str]:
     parts = map_partitions(_graph6_lines, [args.n], args.m, args.workers)
-    return sorted(chain.from_iterable(lines for _, lines in parts))
+    return sorted(code for codes in parts for code in codes)
 
 
 _INT = {"type": _integer}

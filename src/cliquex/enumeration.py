@@ -24,24 +24,21 @@ since deleting it gives the parent again.
 Children and tied deletions of a valid parent are valid by
 construction and skip ``Graph`` validation.
 
-Both consumers share one walk per task, ``_leaf_batches``, which hands
+Every consumer shares one walk per task, ``_leaf_batches``, which hands
 over every node from the roots' order to n - 1 with its accepted
 children and their sibling duplicates, a class's only ones; the first
 child of each class is the next node. ``canonical_codes`` reads the
 order n - 1 nodes' children and yields each class's canonical graph6
 code, which ``cliquex enumerate`` prints as is and ``connected_graphs``
-decodes. ``argmax_fold``, the one fold of clique counts over the classes
-of each order, reads every level, so the top order's tasks fold every
-order above the frontier too. It counts each node's cliques once and
-each child's from its new vertex's mask alone. It folds the raw children
-and canonicalizes only those that attain a maximum, so a class count
+decodes. ``walk_classes`` (for the lemma checks) and ``argmax_fold`` (the
+one fold of clique counts) read every level. The fold counts each node's
+cliques once and each child's from its new vertex's mask alone, and
+canonicalizes only the children that attain a maximum, so a class count
 per (n, m) must come from ``canonical_codes``, never from it.
 The edge budget in ``_accepted`` is the only size rule.
-``map_partitions`` makes one task per frontier root of each order at
-every worker count, and runs them in process or, for ``workers > 1``,
-on one pool of at most the CPU count of processes, one task at a
-time. It imports the pool only then, so serial enumeration and every
-command that does not enumerate never load ``multiprocessing``.
+``map_partitions`` owns the task layout, the same at every worker count,
+and runs the tasks in process or, for ``workers > 1``, on one pool that
+it imports only then, so serial runs never load ``multiprocessing``.
 The engine's oracles (labeled enumeration, Pólya counting and the
 parent test written out rule by rule) live in the test suite.
 """
@@ -225,25 +222,34 @@ def connected_graphs(task: EnumerationTask) -> Iterator[Graph]:
     yield from map(from_graph6, canonical_codes(task))
 
 
+def walk_classes(task: EnumerationTask) -> Iterator[Graph]:
+    """Each class's first child as it stands, at every level of the task's walk, in ``canonical_codes`` order."""
+    return (g for _, leaves in _leaf_batches(task) for g in reversed(list(_firsts(leaves))))
+
+
 def map_partitions(fn: Callable[[EnumerationTask], Any], orders: Iterable[int],
-                   m: int | None = None, workers: int = 1) -> Iterator[tuple[int, Any]]:
-    """(n, ``fn`` of the task) for each task, in task order: one task per
-    frontier root of each distinct order n, every order checked before
-    any task runs. The tasks do not depend on ``workers``, which only
-    picks where they run: in process, one at a time as the stream is
-    read, or on one pool of at most the CPU count of processes (``fn``
-    must then be picklable)."""
+                   m: int | None = None, workers: int = 1) -> Iterator[Any]:
+    """``fn`` of each task, in task order: one per frontier root of the top
+    order and of each order at or below its frontier order, every order
+    checked first. The top order's tree holds the orders in between, so
+    ``fn`` has to read every level of the walk; a size ``m`` takes one
+    order. ``workers`` only picks where the tasks run: in process as the
+    stream is read, or on a pool of at most the CPU count (``fn`` must pickle)."""
     whole = [EnumerationTask(n, m) for n in dict.fromkeys(orders)]
-    tasks = [EnumerationTask(t.n, m, (root,)) for t in whole for root in _frontier(t.n, m)]
+    if m is not None and len(whole) > 1:
+        raise ValueError("an (n, m) tree holds no other order's classes of size m: ask for one order")
+    top = max((t.n for t in whole), default=0)
+    tasks = [EnumerationTask(t.n, m, (root,)) for t in whole
+             if t.n <= _frontier_order(top) or t.n == top for root in _frontier(t.n, m)]
     if workers == 1:
-        yield from ((task.n, fn(task)) for task in tasks)
+        yield from map(fn, tasks)
         return
     from multiprocessing import Pool  # not at import: serial runs never load it
 
     # The default start method forks on Linux, which is safe here: no thread
     # runs yet, and the workers start with the frontier's canonical forms cached.
     with Pool(min(workers, os.cpu_count() or 1)) as pool:
-        yield from zip([task.n for task in tasks], pool.imap(fn, tasks, chunksize=1))
+        yield from pool.imap(fn, tasks, chunksize=1)
 
 
 def _keep_max(best: dict, cell: Hashable, value, graphs: list[Graph]) -> None:
@@ -282,20 +288,18 @@ def argmax_fold(orders: Iterable[int], svals: Iterable[int], workers: int = 1) -
     mask of P, so k_s(G) = k_s(P) + k_{s-1}(P[mask]), the deletion
     identity at v. P's counts are taken once, each child's from its mask
     alone, and only up to min(max(svals), n): a larger s reads 0.
-    A task canonicalizes only its attaining graphs. The top order's tasks
-    fold every order above its frontier too: their roots are those
-    orders' frontier roots, in the same order. Each task's part merges
-    by the same rule as it arrives, in task order, so the maxima and the
-    attaining lists, in the yield order of one whole-order pass, depend
-    neither on ``workers`` nor on the other orders asked for.
+    A task canonicalizes only its attaining graphs. It folds every level
+    of its walk, whose roots are the frontier roots of each order it
+    reaches, in order, and the cells of the orders asked are kept. Each
+    task's part merges by the same rule as it arrives, in task order, so
+    the maxima and the attaining lists, in the yield order of one pass
+    per order, depend neither on ``workers`` nor on the other orders asked.
     """
     svals = tuple(svals)
     if not svals or min(svals) < 1:
         raise ValueError("clique orders must be given, and each must be at least 1")
     folded: dict[int, dict] = {n: {} for n in orders}
-    top = max(folded, default=0)
-    walks = [n for n in folded if n <= _frontier_order(top) or n == top]
-    for _, part in map_partitions(partial(_fold_task, svals), walks, workers=workers):
+    for part in map_partitions(partial(_fold_task, svals), folded, workers=workers):
         for (n, m, s), (value, graphs) in part.items():
             if n in folded:
                 _keep_max(folded[n], (m, s), value, graphs)

@@ -9,19 +9,16 @@ every witness re-verifies in isolation from its graph6 string.
 `_report` builds every report once, from a lazy stream of cells that it
 times. `_cell` builds every cell and owns its keys and the witness rule.
 A lemma suite is a stream of (ok, witnesses) checks, ok None for no check;
-the exhaustive ones run per frontier-root task on `map_partitions` and return
-tallies and pendant-star families, which `_lemma_rows` merges in task order.
+the exhaustive ones check each class of every level of a task's walk as it
+stands, and return tallies and families, which `_lemma_rows` merges in task order.
 
 The theorem reports are views of one walk, `_clique_grid`, which checks
-the order cap, folds the clique counts with `argmax_fold` (the orders
-above the frontier in one walk, each leaf's counts carried from its
-parent) and yields each
+the order cap, folds the clique counts with `argmax_fold` and yields each
 feasible (n, m, s) point with its maximum and attaining graphs; a view
 maps a point to its cell, or to None where its theorem claims nothing.
 s-order ranks only the k_3 maximizers by moments: S_0..S_2 are fixed per
-(n, m), and S_3 = 6 k_3 is checked. `connected_graphs` yields one graph
-per class, so graphs it yielded are counted and compared as they are,
-never by canonical form.
+(n, m), and S_3 = 6 k_3 is checked. `argmax_fold` and `walk_classes` give
+one graph per class, so graphs are counted and compared as they are.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from collections.abc import Iterable, Iterator
 from itertools import starmap
 
 from .cliques import count_s_cliques, deletion_identity_check
-from .enumeration import MAX_EXHAUSTIVE_ORDER, EnumerationTask, argmax_fold, connected_graphs, map_partitions
+from .enumeration import MAX_EXHAUSTIVE_ORDER, EnumerationTask, argmax_fold, map_partitions, walk_classes
 from .extremal import (
     choose,
     construct_b2,
@@ -353,18 +350,18 @@ def _tally(row: list, ok: bool | None, witnesses: list[Graph]) -> None:
 
 
 def _exhaustive_task(task: EnumerationTask) -> tuple[dict[str, list], dict]:
-    """One root task's noncut-low-degree-vertex and clique-free-band tallies,
-    and for n <= 7 its pendant-star families: (2-core, graphs) by core code."""
+    """One root task's noncut-low-degree-vertex and clique-free-band tallies over
+    every class its walk reaches, and the pendant-star families of orders <= 7."""
     tallies = {"noncut-low-degree-vertex": [0, 0, []], "clique-free-band": [0, 0, []]}
-    families: dict[CanonicalForm, tuple[Graph, list[Graph]]] = {}
-    for g in connected_graphs(task):
+    families: dict[tuple[int, CanonicalForm], tuple[Graph, list[Graph]]] = {}
+    for g in walk_classes(task):
         core = kernel(g, 1)
         _tally(tallies["noncut-low-degree-vertex"], _noncut_vertex_holds(g, core), [g])
         for s in (3, 4, 5):  # below the excess threshold no s-clique can exist
             if g.m - g.n <= choose(s, 2) - s - 1:
                 _tally(tallies["clique-free-band"], count_s_cliques(g, s) == 0, [g])
-        if task.n <= 7 and 0 < core.n <= 5 and core.n < task.n:
-            families.setdefault(canonical_form(core), (core, []))[1].append(g)
+        if g.n <= 7 and 0 < core.n <= 5 and core.n < g.n:
+            families.setdefault((g.n, canonical_form(core)), (core, []))[1].append(g)
     return tallies, families
 
 
@@ -417,11 +414,11 @@ def _lemma_rows(rng: random.Random, iterations: int, n_max: int, workers: int) -
         for ok, witnesses in checks:
             _tally(rows[lemma], ok, witnesses)
     families: dict = {}  # (n, 2-core code): (core, graphs), merged in task order, the yield order
-    for n, (tallies, part) in map_partitions(_exhaustive_task, range(2, n_max + 1), workers=workers):
+    for tallies, part in map_partitions(_exhaustive_task, range(2, n_max + 1), workers=workers):
         for lemma, tally in tallies.items():
             rows[lemma] = [total + value for total, value in zip(rows[lemma], tally)]
-        for code, (core, graphs) in part.items():
-            families.setdefault((n, code), (core, []))[1].extend(graphs)
+        for key, (core, graphs) in part.items():
+            families.setdefault(key, (core, []))[1].extend(graphs)
     for n, code in sorted(families):
         _tally(rows["pendant-star-maximizes-s4"], *_star_maximizes_s4(*families[n, code], n))
     for lemma, (passes, checks, witnesses) in rows.items():

@@ -186,14 +186,15 @@ def test_integer_options_take_ascii_digits_only(capsys, argv):
     ],
 )
 def test_bad_arguments_fail_before_enumerating(capsys, monkeypatch, argv, code):
+    # every walk starts from the frontier (the task list) and runs through
+    # _leaf_batches (each task), whichever command or harness asks for it
     import cliquex.enumeration
-    import cliquex.verify
 
-    def refuse(task):
-        raise AssertionError(f"enumerated order {task.n} before rejecting {argv}")
+    def refuse(*args):
+        raise AssertionError(f"enumerated before rejecting {argv}")
 
-    monkeypatch.setattr(cliquex.enumeration, "connected_graphs", refuse)
-    monkeypatch.setattr(cliquex.verify, "connected_graphs", refuse)
+    monkeypatch.setattr(cliquex.enumeration, "_frontier", refuse)
+    monkeypatch.setattr(cliquex.enumeration, "_leaf_batches", refuse)
     got, out, err = invoke(capsys, *argv)
     assert (got, out) == (code, "") and err
 

@@ -369,11 +369,9 @@ def test_pool_size_is_capped_at_the_cpu_count(monkeypatch, pool_log):
     import cliquex.enumeration as enumeration
 
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    stream = list(map_partitions(_task_codes, [5], workers=64))
+    parts = list(map_partitions(_task_codes, [5], workers=64))
     # one pool, capped at the CPU count, dealt the tasks one at a time
     assert [entry[:2] for entry in pool_log] == [("pool", 2), ("imap", 1)]
-    assert [n for n, _ in stream] == [5] * len(stream)
-    parts = [part for _, part in stream]
     assert [roots for roots, _ in parts] == [(root,) for root in _frontier(5, None)]
     assert set().union(*(codes for _, codes in parts)) == class_codes(5)
     assert sum(len(codes) for _, codes in parts) == CONNECTED_TOTALS[5]
@@ -384,10 +382,24 @@ def test_task_list_does_not_depend_on_workers(pool_log):
     assert len(tasks) == 112
     # in process, the tasks run one by one as the stream is read; on the pool they are dealt out
     serial, few, many = (list(map_partitions(_task_key, [8], workers=w)) for w in (1, 2, 64))
-    assert serial == few == many == [(8, task) for task in tasks]
+    assert serial == few == many == tasks
     assert [entry[2] for entry in pool_log if entry[0] == "imap"] == [tasks, tasks]
     ran = []
-    assert next(map_partitions(ran.append, [8])) == (8, None) and len(ran) == 1
+    assert next(map_partitions(ran.append, [8])) is None and len(ran) == 1
+
+
+def test_the_top_orders_tasks_walk_the_orders_above_its_frontier():
+    # orders 7 and 8 share the order-8 tasks, whose roots are the order-7
+    # frontier roots in the same order; an order at or below order 8's
+    # frontier order (6) keeps its own tasks, in the order asked
+    assert _frontier(7, None) == _frontier(8, None)
+    for orders, walked in (([8, 5, 7], (8, 5)), (range(2, 10), (2, 3, 4, 5, 6, 9)), ([7], (7,))):
+        tasks = [(n, None, (root,)) for n in walked for root in _frontier(n, None)]
+        assert list(map_partitions(_task_key, orders)) == tasks, list(orders)
+    # a size m is walked by its own order's tree only
+    assert len(list(map_partitions(_task_key, [8], 10))) == len(_frontier(8, 10))
+    with pytest.raises(ValueError, match="one order"):
+        list(map_partitions(_task_key, [7, 8], 10))
 
 
 def test_every_order_is_checked_before_any_task_runs(pool_log):

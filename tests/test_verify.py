@@ -263,24 +263,52 @@ def test_each_harness_enumerates_each_order_once_per_slice(monkeypatch, pool_log
 
 
 def test_lemma_task_returns_tallies_and_small_order_families():
-    from cliquex.enumeration import EnumerationTask, _frontier
-    from cliquex.verify import _exhaustive_task
+    """An order-8 root task checks every class of its subtree, at order 7
+    as at order 8, each once and as it stands, and returns the order-7
+    pendant-star families: the pendant-star suite stops at order 7."""
+    from cliquex.enumeration import _frontier
+    from cliquex.verify import _exhaustive_task, _noncut_vertex_holds
 
-    def task(n, graph6):
-        root = next(r for r in _frontier(n, None) if to_graph6(r) == graph6)
-        return _exhaustive_task(EnumerationTask(n, None, (root,)))
+    root = next(r for r in _frontier(8, None) if to_graph6(r) == "EqHO")
+    sevens, eights = (list(connected_graphs(EnumerationTask(n, None, (root,)))) for n in (7, 8))
+    tallies, families = _exhaustive_task(EnumerationTask(8, None, (root,)))
+    holds = [_noncut_vertex_holds(g, kernel(g, 1)) for g in sevens + eights]
+    bands = [g for g in sevens + eights for s in (3, 4, 5) if g.m - g.n <= s * (s - 3) // 2 - 1]
+    assert tallies == {"noncut-low-degree-vertex": [holds.count(True), len(holds) - holds.count(None), []],
+                       "clique-free-band": [len(bands), len(bands), []]}
+    assert sevens and eights and bands
+    expected = {}
+    for g in sevens:
+        core = kernel(g, 1)
+        if 0 < core.n <= 5 and core.n < 7:
+            expected.setdefault((7, canonical_form(core)), []).append(canonical_form(g))
+    assert expected
+    assert {key: [canonical_form(g) for g in graphs] for key, (_, graphs) in families.items()} == expected
+    for (_, code), (core, graphs) in families.items():
+        assert canonical_form(core) == code and all(g.n == 7 for g in graphs)
 
-    # every check of this order-7 root's subtree holds, so no witness travels back
-    tallies, families = task(7, "EqHO")
-    assert tallies == {"noncut-low-degree-vertex": [31, 31, []], "clique-free-band": [35, 35, []]}
-    assert len(families) == 4
-    for code, (core, graphs) in families.items():
-        assert canonical_form(core) == code and 0 < core.n <= 5
-        assert graphs and all(g.n == 7 and canonical_form(kernel(g, 1)) == code for g in graphs)
-    # the pendant-star suite stops at order 7, so order-8 tasks return tallies alone
-    tallies, families = task(8, "Erzg")
-    assert families == {}
-    assert tallies == {"noncut-low-degree-vertex": [3, 3, []], "clique-free-band": [0, 0, []]}
+
+def test_lemma_checks_run_on_the_folds_task_list(monkeypatch):
+    """At n_max = 8 the lemma checks share the fold's tasks: one per
+    frontier root of orders 2..6 and 8, 143 in all where a task list per
+    order has 255. So each order-6 node is tested once, and the report is
+    the one a task list per order gives, byte for byte."""
+    import hashlib
+
+    import cliquex.enumeration as enumeration
+
+    walked, tested = [], []
+    leaf_batches, accepted = enumeration._leaf_batches, enumeration._accepted
+    monkeypatch.setattr(enumeration, "_leaf_batches",
+                        lambda task: walked.append((task.n, task.roots)) or leaf_batches(task))
+    monkeypatch.setattr(enumeration, "_accepted",
+                        lambda parent, n, m: tested.append(parent) or accepted(parent, n, m))
+    body = verify_lemma_suite(0, 200, 8).to_json(timing=False).encode()
+    assert hashlib.sha256(body).hexdigest() == "a91bbdc33bacc2a1992daf82b4b2974293ec39308b35ee9cfc1323452d645fce"
+    order_six = [canonical_form(g) for g in tested if g.n == 6]
+    assert len(order_six) == len(set(order_six)) == 112
+    assert walked == [(n, (root,)) for n in (2, 3, 4, 5, 6, 8) for root in enumeration._frontier(n, None)]
+    assert len(walked) == 143
 
 
 def test_report_json_shape():
@@ -375,19 +403,20 @@ def test_pendant_star_families_merge_as_one_whole_order_pass(monkeypatch):
         for g in connected_graphs(EnumerationTask(n)):
             core = kernel(g, 1)
             if 0 < core.n <= 5 and core.n < n:
-                families.setdefault(canonical_form(core), []).append(to_graph6(g))
+                families.setdefault(canonical_form(core), []).append(canonical_form(g))
         expected += [(n, code, families[code]) for code in sorted(families)]
     seen = []
     check = verify._star_maximizes_s4
 
     def logged(h, family, n):
-        seen.append((n, canonical_form(h), [to_graph6(g) for g in family]))
+        seen.append((n, canonical_form(h), [canonical_form(g) for g in family]))
         return check(h, family, n)
 
     monkeypatch.setattr(verify, "_star_maximizes_s4", logged)
-    for workers in (1, 2):
+    # order 7 comes from its own tasks at n_max = 7 and from the order-8 tasks at 8
+    for n_max, workers in ((7, 1), (7, 2), (8, 2)):
         seen.clear()
-        assert not verify_lemma_suite(0, 10, 7, workers).mismatches
+        assert not verify_lemma_suite(0, 10, n_max, workers).mismatches
         assert seen == expected
 
 
