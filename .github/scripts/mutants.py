@@ -80,6 +80,25 @@ ROWS = [
     Row("src/cliquex/verify.py", "for g in walk_classes(task):",
         "for g in (g for g in walk_classes(task) if g.n == task.n):",
         ("tests/test_verify.py::test_lemma_checks_run_on_the_folds_task_list",)),
+    # the commands take abbreviated options, so lemmas reads --s 3 as --seed 3
+    Row("src/cliquex/cli.py", "group.add_parser(name, help=summary, allow_abbrev=False)",
+        "group.add_parser(name, help=summary)",
+        ("tests/test_cli.py::test_bad_arguments_fail_before_enumerating",)),
+    # lemmas takes --s again, and reads nothing from it
+    Row("src/cliquex/cli.py", '{"--nmax": _REQUIRED_INT, "--seed": _SEED,',
+        '{"--nmax": _REQUIRED_INT, "--s": _ORDERS, "--seed": _SEED,',
+        ("tests/test_cli.py::test_bad_arguments_fail_before_enumerating",)),
+    # s-order drops the --s that benchmark calls pass it
+    Row("src/cliquex/cli.py", '{**theorem, "--s": {**_ORDERS, "help": "not read; kept for old callers"}}',
+        '{key: value for key, value in theorem.items() if key != "--s"}',
+        ("tests/test_ci_scripts.py::test_every_benchmark_call_parses",)),
+    # the fold counts every level of its walk, so argmax_fold([8], ...) meets order-7 cells it has no slot for
+    Row("src/cliquex/enumeration.py", "if n not in orders:", "if False:",
+        ("tests/test_enumeration.py::test_the_fold_counts_cliques_only_on_the_orders_asked",)),
+    # any vertex of low degree passes, cut vertex or not
+    Row("src/cliquex/verify.py", "core.degree(u) <= r - 1 and not _is_cut_vertex(core.adj, u)",
+        "core.degree(u) <= r - 1",
+        ("tests/test_verify.py::test_noncut_check_needs_the_low_degree_vertex_to_be_no_cut",)),
     # a cold-start pin that no benchmark pin matches
     Row(".github/scripts/cold_start.sh", "2 ccf7e2b8788d", "2 ccf7e2b8788e",
         ("tests/test_ci_scripts.py::test_same_report_compares_reports_and_raw_output",)),

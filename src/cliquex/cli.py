@@ -131,13 +131,6 @@ _FAMILIES = {
     "b2": (("m", "n"), lambda args: construct_b2(args.m, args.n)),
 }
 
-_HARNESSES = {
-    "max-cliques": lambda args: verify_max_cliques(args.nmax, args.s, args.workers, args.seed),
-    "extremal-kernels": lambda args: verify_extremal_kernels(args.nmax, args.s, args.workers, args.seed),
-    "s-order": lambda args: verify_s_order_last(args.nmax, args.workers, args.seed),
-    "lemmas": lambda args: verify_lemma_suite(args.seed, args.iterations, args.nmax, args.workers),
-}
-
 
 def _decimal_text(value: int) -> str:
     """``str(value)`` of a nonnegative integer, subquadratic past 14000 bits
@@ -198,6 +191,9 @@ def _enumerate(args: argparse.Namespace) -> list[str]:
 _INT = {"type": _integer}
 _REQUIRED_INT = {"type": _integer, "required": True}
 _WORKERS = {"type": _positive_int, "default": 1}
+_SEED = {"type": _integer, "default": 0}
+_ORDERS = {"type": _parse_clique_orders, "default": "3", "help": "comma-separated clique orders"}
+_OUT = {"type": _report_path, "default": None, "help": "report path (default stdout)"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -208,11 +204,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, summary: str, act, options: dict, graphs: bool = False) -> None:
-        """A subcommand: its options in order, then the graph-input options
-        if it reads graphs. act(args) returns the output lines or a
-        VerificationReport."""
-        p = sub.add_parser(name, help=summary)
+    def command(name: str, summary: str, act, options: dict, graphs: bool = False, group=sub) -> None:
+        """A subcommand of group: its options in order, then the graph-input options
+        if it reads graphs, and no other option or abbreviation. act(args)
+        returns the output lines or a VerificationReport."""
+        p = group.add_parser(name, help=summary, allow_abbrev=False)
         for flag, kwargs in options.items():
             p.add_argument(flag, **kwargs)
         if graphs:
@@ -240,16 +236,20 @@ def _build_parser() -> argparse.ArgumentParser:
     })
     command("enumerate", "one graph6 line per isomorphism class", _enumerate,
             {"--n": _REQUIRED_INT, "--m": _INT, "--workers": _WORKERS})
-    command("verify", "run a theorem harness and emit a JSON report",
-            lambda args: _HARNESSES[args.target](args), {
-        "target": {"choices": tuple(_HARNESSES)},
-        "--nmax": _REQUIRED_INT,
-        "--s": {"type": _parse_clique_orders, "default": "3", "help": "comma-separated clique orders"},
-        "--workers": _WORKERS,
-        "--seed": {"type": _integer, "default": 0},
-        "--iterations": {"type": _positive_int, "default": 1000},
-        "--out": {"type": _report_path, "default": None, "help": "report path (default stdout)"},
-    })
+    targets = sub.add_parser("verify", help="run a theorem harness and emit a JSON report",
+                             allow_abbrev=False).add_subparsers(dest="target", required=True)
+    theorem = {"--nmax": _REQUIRED_INT, "--s": _ORDERS, "--workers": _WORKERS, "--seed": _SEED, "--out": _OUT}
+    command("max-cliques", "enumerated maxima of k_s against the sharp bound",
+            lambda args: verify_max_cliques(args.nmax, args.s, args.workers, args.seed), theorem, group=targets)
+    command("extremal-kernels", "the kernel of every graph that attains the maximum",
+            lambda args: verify_extremal_kernels(args.nmax, args.s, args.workers, args.seed), theorem, group=targets)
+    command("s-order", "the pendant-star graph alone last in the moment order",
+            lambda args: verify_s_order_last(args.nmax, args.workers, args.seed),
+            {**theorem, "--s": {**_ORDERS, "help": "not read; kept for old callers"}}, group=targets)
+    command("lemmas", "property suites for the supporting lemmas",
+            lambda args: verify_lemma_suite(args.seed, args.iterations, args.nmax, args.workers),
+            {"--nmax": _REQUIRED_INT, "--seed": _SEED, "--iterations": {"type": _positive_int, "default": 1000},
+             "--workers": _WORKERS, "--out": _OUT}, group=targets)
     return parser
 
 

@@ -260,10 +260,12 @@ def _keep_max(best: dict, cell: Hashable, value, graphs: list[Graph]) -> None:
         prev[1].extend(graphs)
 
 
-def _fold_task(svals: tuple[int, ...], task: EnumerationTask) -> dict:
+def _fold_task(svals: tuple[int, ...], orders: frozenset[int], task: EnumerationTask) -> dict:
     best: dict = {}
     for parent, leaves in _leaf_batches(task):
         n = parent.n + 1
+        if n not in orders:  # a level of the walk that nobody asked for
+            continue
         top = min(max(svals), n)  # no clique is larger than the graph
         counts, e = _clique_counts(parent.adj, (1 << parent.n) - 1, top), parent.m
         for g in reversed(leaves):
@@ -288,9 +290,8 @@ def argmax_fold(orders: Iterable[int], svals: Iterable[int], workers: int = 1) -
     mask of P, so k_s(G) = k_s(P) + k_{s-1}(P[mask]), the deletion
     identity at v. P's counts are taken once, each child's from its mask
     alone, and only up to min(max(svals), n): a larger s reads 0.
-    A task canonicalizes only its attaining graphs. It folds every level
-    of its walk, whose roots are the frontier roots of each order it
-    reaches, in order, and the cells of the orders asked are kept. Each
+    A task canonicalizes only its attaining graphs. It walks every level
+    of its subtree but folds only the levels of the orders asked. Each
     task's part merges by the same rule as it arrives, in task order, so
     the maxima and the attaining lists, in the yield order of one pass
     per order, depend neither on ``workers`` nor on the other orders asked.
@@ -299,8 +300,7 @@ def argmax_fold(orders: Iterable[int], svals: Iterable[int], workers: int = 1) -
     if not svals or min(svals) < 1:
         raise ValueError("clique orders must be given, and each must be at least 1")
     folded: dict[int, dict] = {n: {} for n in orders}
-    for part in map_partitions(partial(_fold_task, svals), folded, workers=workers):
+    for part in map_partitions(partial(_fold_task, svals, frozenset(folded)), folded, workers=workers):
         for (n, m, s), (value, graphs) in part.items():
-            if n in folded:
-                _keep_max(folded[n], (m, s), value, graphs)
+            _keep_max(folded[n], (m, s), value, graphs)
     return folded

@@ -12,8 +12,8 @@ result is still a graph.
 
 Every structure query uses one reachability pass, ``_reach`` (the
 vertices reached from a start bit inside a vertex mask): connectivity,
-``_is_cut_vertex`` for ``articulation_points``, and the components
-the engine's parent test keeps. ``_without_vertex`` deletes a vertex.
+``_is_cut_vertex`` for ``articulation_points`` and the lemma checks, and
+the components the engine's parent test keeps. ``_without_vertex`` deletes a vertex.
 
 An isomorphism class is named by the graph6 record of its canonical
 labeling (``canonical_form``), and ``canonical_graph`` decodes that

@@ -43,7 +43,7 @@ from .extremal import (
     max_cliques_bound,
     peel_random_order,
 )
-from .graphs import CanonicalForm, Graph, canonical_form, to_graph6
+from .graphs import CanonicalForm, Graph, _is_cut_vertex, canonical_form, to_graph6
 from .spectral import (
     d_transformation,
     moment_sequence,
@@ -323,8 +323,7 @@ def _noncut_vertex_holds(g: Graph, core: Graph) -> bool | None:
         return None
     if core.n == r + 1 and core.m == choose(r + 1, 2):  # the (r+1)-clique
         return True
-    cuts = core.articulation_points()
-    return any(core.degree(u) <= r - 1 for u in range(core.n) if u not in cuts)
+    return any(core.degree(u) <= r - 1 and not _is_cut_vertex(core.adj, u) for u in range(core.n))
 
 
 def _star_maximizes_s4(h: Graph, family: list[Graph], n: int) -> tuple[bool, list[Graph]]:

@@ -48,6 +48,18 @@ def test_same_report_compares_reports_and_raw_output(tmp_path, monkeypatch):
     assert pins and set(pins) <= known
 
 
+def test_every_benchmark_call_parses(monkeypatch):
+    # an option a workload passes has to stay declared on its command
+    from cliquex.cli import _build_parser
+
+    parser = _build_parser()
+    for workload in load_workloads(monkeypatch).WORKLOADS.values():
+        rounds = workload.rounds(0, workload.workers)
+        for op in [workload.warmup, *(op for ops in rounds for op in ops)]:
+            for argv, _ in op.procs:
+                parser.parse_args(argv)
+
+
 def load_mutants():
     spec = importlib.util.spec_from_file_location("mutants", SCRIPTS / "mutants.py")
     module = importlib.util.module_from_spec(spec)

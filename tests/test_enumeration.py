@@ -543,7 +543,7 @@ def _carried_counts(monkeypatch, task, svals):
     seen = []
     monkeypatch.setattr(enumeration, "_keep_max",
                         lambda best, cell, value, graphs: seen.append((graphs[0], *cell, value)))
-    _fold_task(svals, task)
+    _fold_task(svals, frozenset(range(1, task.n + 1)), task)
     assert {(g, s) for g, _, _, s, _ in seen} == {(g, s) for g, *_ in seen for s in svals}
     return seen
 
@@ -576,6 +576,18 @@ def test_fold_searches_only_internal_nodes_and_attaining_leaves():
     canonical_form.cache_clear()
     argmax_fold([8], (3,))
     assert canonical_form.cache_info().misses == 5406
+
+
+def test_the_fold_counts_cliques_only_on_the_orders_asked(monkeypatch):
+    """The order-8 tasks also walk the order-7 leaves, but a fold of order
+    8 alone counts no clique on them, and its cells are those of order 8
+    folded with every order below it."""
+    with_lower = argmax_fold(range(3, 9), (3,))[8]
+    parents, counts = [], enumeration._clique_counts
+    monkeypatch.setattr(enumeration, "_clique_counts",
+                        lambda adj, *rest: parents.append(len(adj)) or counts(adj, *rest))
+    assert argmax_fold([8], (3,)) == {8: with_lower}
+    assert parents and set(parents) == {7}
 
 
 def test_orders_above_the_frontier_fold_as_they_do_alone():

@@ -207,6 +207,19 @@ def test_low_excess_band_has_real_exception():
     assert non_cut and all(core.degree(v) > r - 1 for v in non_cut)
 
 
+def test_noncut_check_needs_the_low_degree_vertex_to_be_no_cut():
+    # two K5s joined through one middle vertex: the middle vertex is the
+    # only one of degree <= r - 1 = 3, and deleting it splits the core
+    from cliquex.verify import _noncut_vertex_holds
+
+    g = Graph.complete(5)
+    assert decompose_connected(g.m, g.n)[0] == 4 and _noncut_vertex_holds(g, kernel(g, 1))
+    cliques = [(u, v) for base in (0, 6) for u in range(base, base + 5) for v in range(u + 1, base + 5)]
+    core = Graph.from_edges(11, cliques + [(4, 5), (5, 6)])
+    assert [u for u in range(core.n) if core.degree(u) <= 3] == [5] and 5 in core.articulation_points()
+    assert _noncut_vertex_holds(g, core) is False
+
+
 def test_reports_are_deterministic():
     a = verify_max_cliques(5, {3}, seed=1).to_json(timing=False)
     b = verify_max_cliques(5, {3}, seed=1).to_json(timing=False)
