@@ -99,6 +99,20 @@ ROWS = [
     Row("src/cliquex/verify.py", "core.degree(u) <= r - 1 and not _is_cut_vertex(core.adj, u)",
         "core.degree(u) <= r - 1",
         ("tests/test_verify.py::test_noncut_check_needs_the_low_degree_vertex_to_be_no_cut",)),
+    # the graph commands take --format again, and read the input it names nothing from
+    Row("src/cliquex/cli.py", 'p.add_argument("--input", default="-", help="graph source path, or - for stdin")',
+        'p.add_argument("--input", default="-", help="graph source path, or - for stdin"); p.add_argument("--format")',
+        ("tests/test_cli.py::test_bad_arguments_fail_before_enumerating",)),
+    # the theorem targets take --seed again, and only copy it into the report
+    Row("src/cliquex/cli.py", '"--s": _ORDERS, "--workers": _WORKERS, "--out": _OUT}',
+        '"--s": _ORDERS, "--workers": _WORKERS, "--seed": _SEED, "--out": _OUT}',
+        ("tests/test_cli.py::test_bad_arguments_fail_before_enumerating",)),
+    # an edge list that opens with a comment line is read as graph6
+    Row("src/cliquex/cli.py", "if match is None:", 'if match is None or line.startswith("#"):',
+        ("tests/test_cli.py::test_edge_list_input_reads_back",)),
+    # an unknown option is reported with the top-level usage, not its command's
+    Row("src/cliquex/cli.py", "args.parser.error(", "_build_parser().error(",
+        ("tests/test_cli.py::test_unknown_options_print_their_commands_usage",)),
     # a cold-start pin that no benchmark pin matches
     Row(".github/scripts/cold_start.sh", "2 ccf7e2b8788d", "2 ccf7e2b8788e",
         ("tests/test_ci_scripts.py::test_same_report_compares_reports_and_raw_output",)),

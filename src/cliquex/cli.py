@@ -88,28 +88,20 @@ def _parse_clique_orders(text: str) -> set[int]:
     return orders
 
 
-def _sniff_format(text: str) -> str:
-    for line in text_lines(text):
-        match = EDGE_LINE.fullmatch(line)
-        if match is None:
-            return "graph6"
-        if match[1] is not None:
-            return "edgelist"
-    raise ValueError("no graph data found in input")
-
-
 def _read_graphs(args: argparse.Namespace) -> list[Graph]:
+    """One edge list if the first data line is an edge-list line, else one
+    graph6 record per non-blank line."""
     try:  # malformed records are parse errors, not infeasibility
         text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
-        fmt = args.format if args.format != "auto" else _sniff_format(text)
-        if fmt == "edgelist":
-            return [from_edge_list(text)]
-        graphs = [from_graph6(line) for line in text_lines(text) if line]
+        for line in text_lines(text):
+            match = EDGE_LINE.fullmatch(line)
+            if match is None:
+                return [from_graph6(line) for line in text_lines(text) if line]
+            if match[1] is not None:
+                return [from_edge_list(text)]
     except ValueError as exc:
         raise _Usage(str(exc)) from exc
-    if not graphs:
-        raise _Usage("no graph6 records found in input")
-    return graphs
+    raise _Usage("no graph data found in input")
 
 
 def _graph6_lines(task: EnumerationTask) -> list[str]:
@@ -205,17 +197,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, summary: str, act, options: dict, graphs: bool = False, group=sub) -> None:
-        """A subcommand of group: its options in order, then the graph-input options
-        if it reads graphs, and no other option or abbreviation. act(args)
-        returns the output lines or a VerificationReport."""
+        """A subcommand of group: its options in order, then --input if it reads
+        graphs, and no other option or abbreviation. act(args) returns the
+        output lines or a VerificationReport."""
         p = group.add_parser(name, help=summary, allow_abbrev=False)
         for flag, kwargs in options.items():
             p.add_argument(flag, **kwargs)
         if graphs:
             p.add_argument("--input", default="-", help="graph source path, or - for stdin")
-            p.add_argument("--format", choices=("graph6", "edgelist", "auto"), default="auto",
-                           help="input format (auto sniffs the first line)")
-        p.set_defaults(act=act)
+        p.set_defaults(act=act, parser=p)
 
     command("bound", "sharp maximum of k_s (connected if --n given)", _bound,
             {"--m": _REQUIRED_INT, "--n": _INT, "--s": _REQUIRED_INT})
@@ -238,13 +228,13 @@ def _build_parser() -> argparse.ArgumentParser:
             {"--n": _REQUIRED_INT, "--m": _INT, "--workers": _WORKERS})
     targets = sub.add_parser("verify", help="run a theorem harness and emit a JSON report",
                              allow_abbrev=False).add_subparsers(dest="target", required=True)
-    theorem = {"--nmax": _REQUIRED_INT, "--s": _ORDERS, "--workers": _WORKERS, "--seed": _SEED, "--out": _OUT}
+    theorem = {"--nmax": _REQUIRED_INT, "--s": _ORDERS, "--workers": _WORKERS, "--out": _OUT}
     command("max-cliques", "enumerated maxima of k_s against the sharp bound",
-            lambda args: verify_max_cliques(args.nmax, args.s, args.workers, args.seed), theorem, group=targets)
+            lambda args: verify_max_cliques(args.nmax, args.s, args.workers), theorem, group=targets)
     command("extremal-kernels", "the kernel of every graph that attains the maximum",
-            lambda args: verify_extremal_kernels(args.nmax, args.s, args.workers, args.seed), theorem, group=targets)
+            lambda args: verify_extremal_kernels(args.nmax, args.s, args.workers), theorem, group=targets)
     command("s-order", "the pendant-star graph alone last in the moment order",
-            lambda args: verify_s_order_last(args.nmax, args.workers, args.seed),
+            lambda args: verify_s_order_last(args.nmax, args.workers),
             {**theorem, "--s": {**_ORDERS, "help": "not read; kept for old callers"}}, group=targets)
     command("lemmas", "property suites for the supporting lemmas",
             lambda args: verify_lemma_suite(args.seed, args.iterations, args.nmax, args.workers),
@@ -258,7 +248,9 @@ def run(argv: list[str]) -> int:
         sys.set_int_max_str_digits(0)
     code = EXIT_OK
     try:
-        args = _build_parser().parse_args(argv)
+        args, unknown = _build_parser().parse_known_args(argv)
+        if unknown:  # with the usage of the command that refused them
+            args.parser.error("unrecognized arguments: " + " ".join(unknown))
         result = args.act(args)
         if isinstance(result, VerificationReport):
             code = EXIT_MISMATCH if result.mismatches else EXIT_OK

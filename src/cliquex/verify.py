@@ -156,12 +156,11 @@ def _max_cliques_cell(n: int, m: int, s: int, observed: int, attain: list[Graph]
     return _cell(n, m, s, predicted, observed, observed == predicted, attain)
 
 
-def verify_max_cliques(n_max: int, s_values: set[int], workers: int = 1,
-                       seed: int = 0) -> VerificationReport:
+def verify_max_cliques(n_max: int, s_values: set[int], workers: int = 1) -> VerificationReport:
     """Enumerated maxima of k_s versus the closed-form bound, for every
     order up to n_max and every feasible size."""
     cells = _clique_grid(3, n_max, _clique_orders(s_values), workers)
-    return _report("max-cliques", seed, starmap(_max_cliques_cell, cells))
+    return _report("max-cliques", 0, starmap(_max_cliques_cell, cells))
 
 
 # ── Theorem harness: kernels of extremal graphs ───────────────────
@@ -186,8 +185,7 @@ def _kernel_cell(n: int, m: int, s: int, _: int, extremal: list[Graph]) -> dict 
     return _cell(n, m, s, len(extremal), len(extremal) - len(bad), not bad, bad or extremal)
 
 
-def verify_extremal_kernels(n_max: int, s_values: set[int], workers: int = 1,
-                            seed: int = 0) -> VerificationReport:
+def verify_extremal_kernels(n_max: int, s_values: set[int], workers: int = 1) -> VerificationReport:
     """Each cell checks that every graph attaining the clique maximum
     peels down to the predicted kernel form: the r-clique, the
     t-augmented r-clique, or (clique order 3, t = 2) a clique-cycle
@@ -195,7 +193,7 @@ def verify_extremal_kernels(n_max: int, s_values: set[int], workers: int = 1,
     independent count exists yet), observed those in the allowed families."""
     svals = _clique_orders(s_values)  # below order svals[0] no cell reaches the excess threshold
     cells = _clique_grid(svals[0], n_max, svals, workers)
-    return _report("extremal-kernels", seed, starmap(_kernel_cell, cells))
+    return _report("extremal-kernels", 0, starmap(_kernel_cell, cells))
 
 
 # ── Theorem harness: last graph in the moment order ───────────────
@@ -218,14 +216,14 @@ def _s_order_cell(n: int, m: int, _: int, k3: int, triangles: list[Graph]) -> di
     return cell
 
 
-def verify_s_order_last(n_max: int, workers: int = 1, seed: int = 0) -> VerificationReport:
+def verify_s_order_last(n_max: int, workers: int = 1) -> VerificationReport:
     """The lexicographic moment-order maximum over each class must be
     attained by the pendant-star construction alone; any tie or foreign
     witness is a mismatch, and so is S_3 != 6 k_3 on a triangle maximizer
     (those are then the witnesses). In t = 2 cells wide enough to host
     it, the bridge competitor is compared and recorded under "b_pair"."""
     cells = _clique_grid(4, n_max, (3,), workers)
-    return _report("s-order-last", seed, starmap(_s_order_cell, cells))
+    return _report("s-order-last", 0, starmap(_s_order_cell, cells))
 
 
 # ── Lemma property suites ─────────────────────────────────────────

@@ -7,6 +7,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from cliquex import EnumerationTask, Graph, canonical_form, connected_graphs
 
@@ -54,6 +55,15 @@ def random_connected_graph(rng: random.Random, n: int, p: float = 0.45) -> Graph
         g = random_graph(rng, n, p)
         if g.is_connected():
             return g
+
+
+@st.composite
+def graphs(draw, max_order=9):
+    """A labelled graph of order 0..max_order, any edge set."""
+    n = draw(st.integers(0, max_order))
+    field = draw(st.integers(0, (1 << n * (n - 1) // 2) - 1))
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    return Graph.from_edges(n, [e for i, e in enumerate(pairs) if field >> i & 1])
 
 
 def as_networkx(g: Graph):

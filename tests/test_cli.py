@@ -6,8 +6,12 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquex import (
     EnumerationTask,
@@ -20,9 +24,9 @@ from cliquex import (
     from_graph6,
     to_graph6,
 )
-from cliquex.cli import _decimal_text, run
+from cliquex.cli import _decimal_text, _read_graphs, run
 from cliquex.enumeration import _frontier, canonical_codes
-from conftest import MALFORMED_EDGE_LISTS, cap_address_space
+from conftest import MALFORMED_EDGE_LISTS, cap_address_space, graphs
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -114,10 +118,9 @@ def test_count_parse_error(capsys, tmp_path, monkeypatch):
     code, out, err = invoke(capsys, "count", "--s", "3")
     assert code == 2 and out == "" and err
     for text in MALFORMED_EDGE_LISTS:
-        for fmt in ("auto", "edgelist"):
-            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-            code, out, err = invoke(capsys, "count", "--s", "3", "--format", fmt)
-            assert (code, out) == (2, "") and err, (text, fmt)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = invoke(capsys, "count", "--s", "3")
+        assert (code, out) == (2, "") and err, text
 
 
 def test_count_huge_vertex_number_fails_at_once():
@@ -189,6 +192,11 @@ def test_integer_options_take_ascii_digits_only(capsys, argv):
         (("verify", "lemmas", "--nmax", "5", "--se", "3"), 2),
         (("verify", "max-cliques", "--nmax", "5", "--work", "2"), 2),
         (("enumerate", "--n", "5", "--work", "2"), 2),
+        # the graph commands take no --format, and only lemmas takes --seed
+        (("verify", "max-cliques", "--nmax", "5", "--seed", "1"), 2),
+        (("verify", "extremal-kernels", "--nmax", "5", "--seed", "1"), 2),
+        (("verify", "s-order", "--nmax", "5", "--seed", "1"), 2),
+        (("count", "--s", "3", "--format", "graph6"), 2),
     ],
 )
 def test_bad_arguments_fail_before_enumerating(capsys, monkeypatch, argv, code):
@@ -197,12 +205,28 @@ def test_bad_arguments_fail_before_enumerating(capsys, monkeypatch, argv, code):
     import cliquex.enumeration
 
     def refuse(*args):
-        raise AssertionError(f"enumerated before rejecting {argv}")
+        raise AssertionError(f"enumerated or read input before rejecting {argv}")
 
     monkeypatch.setattr(cliquex.enumeration, "_frontier", refuse)
     monkeypatch.setattr(cliquex.enumeration, "_leaf_batches", refuse)
+    monkeypatch.setattr(sys, "stdin", SimpleNamespace(read=refuse))
     got, out, err = invoke(capsys, *argv)
     assert (got, out) == (code, "") and err
+
+
+@pytest.mark.parametrize(
+    "argv, prog, unknown",
+    [
+        (("verify", "max-cliques", "--nmax", "5", "--seed", "1"), "verify max-cliques", "--seed 1"),
+        (("verify", "lemmas", "--nmax", "5", "--s", "3"), "verify lemmas", "--s 3"),
+        (("count", "--s", "3", "--format", "graph6"), "count", "--format graph6"),
+        (("bound", "--m", "10", "--s", "3", "--zz"), "bound", "--zz"),
+    ],
+)
+def test_unknown_options_print_their_commands_usage(capsys, argv, prog, unknown):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith(f"usage: cliquex {prog} ")
+    assert err.endswith(f" error: unrecognized arguments: {unknown}\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -219,6 +243,38 @@ def test_edge_list_autodetect(capsys, tmp_path):
     path.write_bytes(b"# triangle\r\n0 1\r\n1 2\r\n0 2\r\n")
     code, out, _ = invoke(capsys, "count", "--s", "3", "--input", str(path))
     assert code == 0 and out.strip() == "1"
+
+
+def read_stdin(text: str) -> list[Graph]:
+    with mock.patch.object(sys, "stdin", io.StringIO(text)):
+        return _read_graphs(SimpleNamespace(input="-"))
+
+
+PADDING = st.text(" \t", max_size=2)
+NEWLINE = st.sampled_from(["\n", "\r\n"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), PADDING, graphs(), PADDING, NEWLINE), min_size=1, max_size=4))
+def test_graph6_input_reads_back(records):
+    # blank lines, CRLF and whitespace around a record are not data
+    text = "".join(f"{eol * blank}{pad}{to_graph6(g)}{trail}{eol}" for blank, pad, g, trail, eol in records)
+    assert read_stdin(text) == [g for _, _, g, _, _ in records]
+
+
+EDGES = st.tuples(st.integers(0, 12), st.integers(0, 12)).filter(lambda e: e[0] != e[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["", "# edge list\n", "#\r\n", "\n", "  # 0 1\n"]),
+    st.lists(st.tuples(EDGES, st.sampled_from([" ", "\t", "  "]), st.sampled_from(["", " # edge", "\t#"]), NEWLINE),
+             min_size=1, max_size=12),
+)
+def test_edge_list_input_reads_back(header, lines):
+    text = header + "".join(f"{u}{sep}{v}{comment}{eol}" for (u, v), sep, comment, eol in lines)
+    edges = [e for e, _, _, _ in lines]
+    assert read_stdin(text) == [Graph.from_edges(1 + max(map(max, edges)), edges)]
 
 
 def test_kernel_command(capsys, tmp_path):
@@ -314,14 +370,12 @@ def test_verify_report_and_exit(capsys, tmp_path):
         "3,4",
         "--workers",
         "2",
-        "--seed",
-        "11",
         "--out",
         str(out_path),
     )
     assert code == 0 and out == ""
     payload = json.loads(out_path.read_text())
-    assert payload["seed"] == 11
+    assert payload["seed"] == 0
     assert all(cell["status"] == "match" for cell in payload["grid"])
 
 
@@ -397,10 +451,10 @@ TRANSCRIPTS = [
     (("--help",), "", "8851d7042d714ac9"),
     (("bound", "--help"), "", "421b1afc67fc10d1"),
     (("decompose", "--help"), "", "8fb63f4c9e99cc30"),
-    (("count", "--help"), "", "3239bf0e12b2b02b"),
-    (("kernel", "--help"), "", "9253a716a322d53b"),
-    (("moments", "--help"), "", "69f51468e3ddc6bf"),
-    (("compare", "--help"), "", "201d51b39a8b4067"),
+    (("count", "--help"), "", "3d10095db60bf23e"),
+    (("kernel", "--help"), "", "48b3d084c77d3251"),
+    (("moments", "--help"), "", "cf2f3bfb07aeb196"),
+    (("compare", "--help"), "", "547b54188888cba6"),
     (("construct", "--help"), "", "d3d76b7245366f68"),
     (("enumerate", "--help"), "", "a1d4a787ca6b3d38"),
     (("verify", "--help"), "", "345a3623031e4f4e"),
@@ -409,7 +463,7 @@ TRANSCRIPTS = [
     (("decompose", "--m", "10", "--n", "7"), "", "7cb5c7c0a8ef8885"),
     (("decompose", "--m", "7"), "", "9a8f458406bd45c0"),
     (("count", "--s", "3"), "D~{\nDhc\n", "0e4676a98c6f29c1"),
-    (("count", "--s", "3", "--format", "edgelist"), "# triangle\r\n0 1\r\n1 2\r\n0 2\r\n", "90f825953954db04"),
+    (("count", "--s", "3"), "# triangle\r\n0 1\r\n1 2\r\n0 2\r\n", "90f825953954db04"),
     (("kernel", "--s", "1"), "Dhc\nD~{\n", "5f82640ea16040a4"),
     (("moments", "--jmax", "4"), "F~qC?\n", "a0617e58c0d1aa84"),
     (("moments",), to_graph6(Graph.complete(20)) + "\n", "3b3ba804d1c280e0"),
@@ -442,21 +496,21 @@ TRANSCRIPTS = [
     (("count", "--s", "3"), "D?\n", "6194a3adb1370aed"),
     (("count", "--s", "3"), "Bé\n", "0fec567499f34ae4"),
     (("count", "--s", "3"), "", "1de8ffd4a4b1131f"),
-    (("count", "--s", "3", "--format", "graph6"), "\n", "1c0079c3bd31a1d8"),
+    (("count", "--s", "3", "--format", "graph6"), "\n", "5d5b729df87e70c8"),
     (("count", "--s", "3"), "0 1_0\n", "afd4f8864ca90209"),
     (("count", "--s", "3"), "0 1000000000\n", "b26f6c586240dc1a"),
     (("compare",), "G~qCC?\n", "7511f062d589355c"),
     (("enumerate", "--n", "5", "--workers", "0"), "", "3b8d1948a8b17ef1"),
     (("verify", "bogus", "--nmax", "5"), "", "8f49d2c1c1f57bb3"),
-    (("verify", "max-cliques", "--nmax", "5", "--s", "abc"), "", "363f24750537c2d0"),
-    (("verify", "max-cliques", "--nmax", "5", "--s", "3,٤"), "", "68bcd041cb7b8b36"),
+    (("verify", "max-cliques", "--nmax", "5", "--s", "abc"), "", "7fdfc9f886468e1a"),
+    (("verify", "max-cliques", "--nmax", "5", "--s", "3,٤"), "", "0394254ff9a31969"),
     (("verify", "max-cliques", "--nmax", "12"), "", "1a4c7109fb38d15e"),
     (("verify", "s-order", "--nmax", "3"), "", "4246eeb53a6dc257"),
     (("verify", "extremal-kernels", "--nmax", "4", "--s", "5"), "", "1689c09d1cca5f2f"),
     (("verify", "lemmas", "--nmax", "3"), "", "4246eeb53a6dc257"),
     (("verify", "lemmas", "--nmax", "5", "--iterations", "0"), "", "3b3510a5edc8dd8b"),
-    (("verify", "s-order", "--nmax", "5", "--out", "no-such-dir/report.json"), "", "c98895f28e9d6493"),
-    (("verify", "s-order", "--nmax", "5", "--out", "results/"), "", "a3354f8031566e69"),
+    (("verify", "s-order", "--nmax", "5", "--out", "no-such-dir/report.json"), "", "510d3f3aca64b944"),
+    (("verify", "s-order", "--nmax", "5", "--out", "results/"), "", "ac743d67208f99e6"),
     # the pooled lemma report is the serial one, byte for byte
     (("verify", "lemmas", "--nmax", "5", "--seed", "2", "--iterations", "50", "--workers", "2"), "",
      "0e3c7dab489a8f06"),
@@ -471,12 +525,16 @@ TRANSCRIPTS = [
     (("count", "--s", "3"), "B`\n", "d42f72ca9485ce0b"),
     (("count", "--s", "3"), "Bw\x1f\n", "938b4997650afc21"),
     # each verify target's own options
-    (("verify", "max-cliques", "--help"), "", "b9282ced80065155"),
-    (("verify", "extremal-kernels", "--help"), "", "b1a28704093a31a3"),
-    (("verify", "s-order", "--help"), "", "fae7ecc48e3c3124"),
+    (("verify", "max-cliques", "--help"), "", "50fd4e525d38f735"),
+    (("verify", "extremal-kernels", "--help"), "", "7b83f74b23881a26"),
+    (("verify", "s-order", "--help"), "", "32794dd9b94b9964"),
     (("verify", "lemmas", "--help"), "", "50f067ff50740521"),
     # s-order takes the --s that benchmark calls pass it, and reads nothing from it
     (("verify", "s-order", "--nmax", "5", "--s", "3,4"), "", "85dfdb4e197bd8a1"),
+    # an unknown option is reported with the usage of the command that refused it
+    (("verify", "max-cliques", "--nmax", "5", "--seed", "1"), "", "9cf6a39dff39d0d2"),
+    (("verify", "lemmas", "--nmax", "5", "--s", "3"), "", "e26d6b559c1accf1"),
+    (("bound", "--m", "10", "--s", "3", "--zz"), "", "6b8360c1a8f91e9f"),
 ]
 
 

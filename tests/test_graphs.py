@@ -23,7 +23,7 @@ from cliquex import (
     to_graph6,
 )
 from canonical_oracle import reference_canonical_form
-from conftest import MALFORMED_EDGE_LISTS, as_networkx, random_connected_graph, random_graph
+from conftest import MALFORMED_EDGE_LISTS, as_networkx, graphs, random_connected_graph, random_graph
 
 PETERSEN_EDGES = [
     (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
@@ -345,11 +345,8 @@ def test_one_canonical_search_per_class():
 
 @st.composite
 def graphs_and_relabelings(draw, max_order=9):
-    n = draw(st.integers(0, max_order))
-    field = draw(st.integers(0, (1 << n * (n - 1) // 2) - 1))
-    pairs = [(u, v) for v in range(1, n) for u in range(v)]
-    g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if field >> i & 1])
-    return g, draw(st.permutations(range(n)))
+    g = draw(graphs(max_order))
+    return g, draw(st.permutations(range(g.n)))
 
 
 @settings(max_examples=300, deadline=None)
