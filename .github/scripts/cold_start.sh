@@ -10,7 +10,10 @@
 # at s = 5 and at clique orders up to and beyond the order (max-cliques
 # --s 3..8 at n <= 7), fold n = 8 with the most sibling duplicates among
 # its leaves, fold orders 7 and 8 from one walk of the order-8 tree, at
-# clique orders up to 8 (max-cliques --nmax 8 --s 3..8), and run the lemma
+# clique orders up to 8 (max-cliques --nmax 8 --s 3..8), bound each task's
+# top order before its parent tests, so that a task drops the cells none of
+# its accepted children attain (every theorem row; the pinned
+# max-cliques --nmax 8 --s 3,4 and s-order --nmax 8), and run the lemma
 # checks and pickle their pendant-star families, those of order 7 from the
 # order-8 tasks too (lemmas --nmax 8).
 #

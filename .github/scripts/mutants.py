@@ -36,7 +36,7 @@ class Row(NamedTuple):
 
 ROWS = [
     # the leaf's cliques that avoid its new vertex are dropped
-    Row("src/cliquex/enumeration.py", "counts[s] + within[s - 1]", "within[s - 1]",
+    Row("src/cliquex/cliques.py", "counts = table[-1] + (table[mask] << 16)", "counts = table[mask] << 16",
         ("tests/test_enumeration.py::test_fold_carries_each_leafs_size_and_clique_counts_from_its_parent",)),
     # the dedup keeps the first sibling duplicate, not the last
     Row("src/cliquex/enumeration.py", "map(canonical_form, reversed(graphs))", "map(canonical_form, graphs)",
@@ -57,14 +57,24 @@ ROWS = [
     Row("src/cliquex/enumeration.py", "self.spreads += [spread | 1 << 64 * v for spread in self.spreads]",
         "self.spreads += [spread | 1 << 64 * (v + 1) for spread in self.spreads]",
         ("tests/test_enumeration.py::test_parent_test_arithmetic_matches_the_rows",)),
-    # every folded leaf is canonicalized, not only the attaining ones
-    Row("src/cliquex/enumeration.py", "mask = g.adj[-1]  # the new vertex's neighbours in the parent",
-        "mask = g.adj[-1] + 0 * len(canonical_form(g))",
+    # the fold tests every top-order child, as the walk behind enumerate does
+    Row("src/cliquex/enumeration.py", "_leaf_batches(task):\n        if parent.n + 1 not in orders:",
+        "_batches(task):\n        if parent.n + 1 not in orders:",
         ("tests/test_enumeration.py::test_fold_searches_only_internal_nodes_and_attaining_leaves",)),
     # a leaf's carried clique counts span its whole parent, not the new vertex's mask
-    Row("src/cliquex/enumeration.py", "within = _clique_counts(parent.adj, mask, max(top - 1, 1))",
-        "within = _clique_counts(parent.adj, (1 << parent.n) - 1, max(top - 1, 1))",
+    Row("src/cliquex/cliques.py", "counts = table[-1] + (table[mask] << 16)",
+        "counts = table[-1] + (table[-1] << 16)",
         ("tests/test_enumeration.py::test_fold_carries_each_leafs_size_and_clique_counts_from_its_parent",)),
+    # the subset table adds the cliques of the whole set below the new top vertex, not of its neighbours there
+    Row("src/cliquex/cliques.py", "(table[row & mask] << 16)", "(table[mask] << 16)",
+        ("tests/test_enumeration.py::test_subset_tables_count_the_cliques_of_every_induced_subgraph",)),
+    # a top-order child that ties the running maximum is dropped before the test, so attaining classes go
+    Row("src/cliquex/enumeration.py", "if any(map(ge, values, most)):", "if any(a > b for a, b in zip(values, most)):",
+        ("tests/test_enumeration.py::test_argmax_fold_equals_a_fold_over_connected_graphs",)),
+    # the candidates reach their parent's own maxima, not the task's: the same reports, more tests
+    Row("src/cliquex/enumeration.py", "if any(map(ge, values, maxima[m]))]",
+        "if any(map(ge, values, map(max, values, *(v for _, k, v in reach if k == m))))]",
+        ("tests/test_enumeration.py::test_fold_tests_only_the_top_orders_children_that_reach_a_task_maximum",)),
     # the top order's walk hands over only its last level, so order 7 is not folded at n_max = 8
     Row("src/cliquex/enumeration.py", "yield g, accepted", "yield g, accepted if g.n == n - 1 else []",
         ("tests/test_enumeration.py::test_orders_above_the_frontier_fold_as_they_do_alone",)),
@@ -93,7 +103,7 @@ ROWS = [
         '{key: value for key, value in theorem.items() if key != "--s"}',
         ("tests/test_ci_scripts.py::test_every_benchmark_call_parses",)),
     # the fold counts every level of its walk, so argmax_fold([8], ...) meets order-7 cells it has no slot for
-    Row("src/cliquex/enumeration.py", "if n not in orders:", "if False:",
+    Row("src/cliquex/enumeration.py", "if parent.n + 1 not in orders:", "if False:",
         ("tests/test_enumeration.py::test_the_fold_counts_cliques_only_on_the_orders_asked",)),
     # any vertex of low degree passes, cut vertex or not
     Row("src/cliquex/verify.py", "core.degree(u) <= r - 1 and not _is_cut_vertex(core.adj, u)",
@@ -111,7 +121,10 @@ ROWS = [
     Row("src/cliquex/cli.py", "if match is None:", 'if match is None or line.startswith("#"):',
         ("tests/test_cli.py::test_edge_list_input_reads_back",)),
     # an unknown option is reported with the top-level usage, not its command's
-    Row("src/cliquex/cli.py", "args.parser.error(", "_build_parser().error(",
+    Row("src/cliquex/cli.py", "owner.error(", "_build_parser().error(",
+        ("tests/test_cli.py::test_unknown_options_print_their_commands_usage",)),
+    # an unknown option before the command is reported with the command's usage
+    Row("src/cliquex/cli.py", "if at != name), args.parsers[-1])", "if False), args.parsers[-1])",
         ("tests/test_cli.py::test_unknown_options_print_their_commands_usage",)),
     # a cold-start pin that no benchmark pin matches
     Row(".github/scripts/cold_start.sh", "2 ccf7e2b8788d", "2 ccf7e2b8788e",

@@ -205,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **kwargs)
         if graphs:
             p.add_argument("--input", default="-", help="graph source path, or - for stdin")
-        p.set_defaults(act=act, parser=p)
+        p.set_defaults(act=act, parsers=(parser, p) if group is sub else (parser, verify, p))
 
     command("bound", "sharp maximum of k_s (connected if --n given)", _bound,
             {"--m": _REQUIRED_INT, "--n": _INT, "--s": _REQUIRED_INT})
@@ -226,8 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
     })
     command("enumerate", "one graph6 line per isomorphism class", _enumerate,
             {"--n": _REQUIRED_INT, "--m": _INT, "--workers": _WORKERS})
-    targets = sub.add_parser("verify", help="run a theorem harness and emit a JSON report",
-                             allow_abbrev=False).add_subparsers(dest="target", required=True)
+    verify = sub.add_parser("verify", help="run a theorem harness and emit a JSON report", allow_abbrev=False)
+    targets = verify.add_subparsers(dest="target", required=True)
     theorem = {"--nmax": _REQUIRED_INT, "--s": _ORDERS, "--workers": _WORKERS, "--out": _OUT}
     command("max-cliques", "enumerated maxima of k_s against the sharp bound",
             lambda args: verify_max_cliques(args.nmax, args.s, args.workers), theorem, group=targets)
@@ -249,8 +249,10 @@ def run(argv: list[str]) -> int:
     code = EXIT_OK
     try:
         args, unknown = _build_parser().parse_known_args(argv)
-        if unknown:  # with the usage of the command that refused them
-            args.parser.error("unrecognized arguments: " + " ".join(unknown))
+        if unknown:  # the top level and verify take no option: a token where a name belongs is theirs
+            names = args.parsers[-1].prog.split()[1:]  # one per parser below the top level
+            owner = next((p for p, at, name in zip(args.parsers, argv, names) if at != name), args.parsers[-1])
+            owner.error("unrecognized arguments: " + " ".join(unknown))
         result = args.act(args)
         if isinstance(result, VerificationReport):
             code = EXIT_MISMATCH if result.mismatches else EXIT_OK

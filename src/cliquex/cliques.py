@@ -4,7 +4,7 @@ Cliques are counted (never listed) by one loop over an explicit stack
 of neighborhood bitmasks, which grows each clique in increasing vertex
 order and so visits it once; every public count reads from it. Counts
 are exact integers; with n <= 64 they stay far below any overflow
-concern.
+concern. ``_subset_counts`` tabulates every vertex subset by the deletion identity.
 """
 
 from __future__ import annotations
@@ -32,6 +32,21 @@ def _clique_counts(adj: tuple[int, ...], candidates: int, s_max: int) -> list[in
             if size < s_max and grown:
                 stack.append((grown, size))
     return counts
+
+
+def _subset_counts(adj: tuple[int, ...]) -> list[int]:
+    """table[S]: k_j (k_0 = 1) of the graph induced on each vertex mask S in bits 16j up, exact to 16 vertices. By
+    doubling over the vertices, with the deletion identity at each top vertex v: k_j(S + v) = k_j(S) + k_{j-1}(N(v) & S)."""
+    table = [1]
+    for row in adj:
+        table += [counts + (table[row & mask] << 16) for mask, counts in enumerate(table)]
+    return table
+
+
+def _child_counts(table: list[int], mask: int, svals: tuple[int, ...]) -> list[int]:
+    """k_s of the table's graph G plus a vertex joined to the mask, k_s(G) + k_{s-1}(G[mask]), per s in svals."""
+    counts = table[-1] + (table[mask] << 16)
+    return [counts >> 16 * s & 0xFFFF for s in svals]
 
 
 def count_s_cliques(g: Graph, s: int) -> int:

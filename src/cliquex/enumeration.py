@@ -25,17 +25,17 @@ Children and tied deletions of a valid parent are valid by
 construction and skip ``Graph`` validation.
 
 Every consumer shares one walk per task, ``_leaf_batches``, which hands
-over every node from the roots' order to n - 1 with its accepted
-children and their sibling duplicates, a class's only ones; the first
-child of each class is the next node. ``canonical_codes`` reads the
-order n - 1 nodes' children and yields each class's canonical graph6
-code, which ``cliquex enumerate`` prints as is and ``connected_graphs``
-decodes. ``walk_classes`` (for the lemma checks) and ``argmax_fold`` (the
-one fold of clique counts) read every level. The fold counts each node's
-cliques once and each child's from its new vertex's mask alone, and
-canonicalizes only the children that attain a maximum, so a class count
-per (n, m) must come from ``canonical_codes``, never from it.
-The edge budget in ``_accepted`` is the only size rule.
+over every node below order n - 1 with its accepted children and their
+sibling duplicates, a class's only ones; the first child of each class
+is the next node. A node of order n - 1 comes untested. ``canonical_codes``
+tests all its ``_masks`` and yields each class's canonical graph6 code,
+which ``cliquex enumerate`` prints as is and ``connected_graphs`` decodes;
+``walk_classes`` (for the lemma checks) tests them all too, and reads
+every level. ``argmax_fold`` (the one fold of clique counts) reads every
+level from subset tables, tests at order n only the children that reach
+a task maximum and canonicalizes only those that attain one, so a class
+count per (n, m) must come from ``canonical_codes``, never from it.
+The edge budget in ``_masks`` is the only size rule.
 ``map_partitions`` owns the task layout, the same at every worker count,
 and runs the tasks in process or, for ``workers > 1``, on one pool that
 it imports only then, so serial runs never load ``multiprocessing``.
@@ -47,9 +47,10 @@ from __future__ import annotations
 
 import os
 from functools import partial
+from operator import ge
 from typing import Any, Callable, Hashable, Iterable, Iterator
 
-from .cliques import _clique_counts
+from .cliques import _child_counts, _subset_counts
 from .extremal import feasible_size
 from .graphs import (
     CanonicalForm,
@@ -148,9 +149,8 @@ class _ParentTest:
         return rows
 
 
-def _accepted(parent: Graph, n: int, m: int | None) -> list[Graph]:
-    """Accepted children of one parent in mask order, sibling duplicates included."""
-    test = _ParentTest(parent)
+def _masks(parent: Graph, n: int, m: int | None) -> list[int]:
+    """The masks tried on one parent, ascending: the least of each twin orbit, in the edge budget."""
     k, e = parent.n, parent.m
     # mask sizes in the edge budget: the n - k - 1 vertices to come add at least
     # one edge each, and at most every edge not among the first k + 1 vertices
@@ -165,8 +165,13 @@ def _accepted(parent: Graph, n: int, m: int | None) -> list[Graph]:
     masks = [0]
     for prefix in prefixes.values():
         masks = [mask | p for mask in masks for p in prefix]
-    sized = [mask for mask in sorted(masks)[1:] if fewest <= mask.bit_count() <= most]
-    return [Graph._trusted(k + 1, rows) for rows in map(test.child_rows, sized) if rows is not None]
+    return [mask for mask in sorted(masks)[1:] if fewest <= mask.bit_count() <= most]
+
+
+def _accepted(parent: Graph, n: int, m: int | None) -> list[Graph]:
+    """Accepted children of one parent in mask order, sibling duplicates included."""
+    tested = map(_ParentTest(parent).child_rows, _masks(parent, n, m))
+    return [Graph._trusted(parent.n + 1, rows) for rows in tested if rows is not None]
 
 
 def _firsts(graphs: Iterable[Graph]) -> Iterator[Graph]:
@@ -189,11 +194,10 @@ def _frontier(n: int, m: int | None) -> list[Graph]:
     return sorted(frontier, key=canonical_form)
 
 
-def _leaf_batches(task: EnumerationTask) -> Iterator[tuple[Graph, list[Graph]]]:
-    """The walk of one task: each node from the roots' order to n - 1 with
-    its accepted children in mask order, sibling duplicates included; the
-    first child of each class is a later node, so none is tested twice.
-    No leaf needs a size check: the last step adds exactly m - e edges."""
+def _leaf_batches(task: EnumerationTask) -> Iterator[tuple[Graph, list[Graph] | None]]:
+    """The walk of one task: each node below order n - 1 with its accepted children in mask order, sibling
+    duplicates included (the first child of each class is a later node, so none is tested twice), and each of order
+    n - 1 with None: its consumer tests the masks it needs. No leaf needs a size check: the masks add m - e edges."""
     n, m = task.n, task.m
     for root in _frontier(n, m) if task.roots is None else task.roots:
         stack = [root]
@@ -201,10 +205,11 @@ def _leaf_batches(task: EnumerationTask) -> Iterator[tuple[Graph, list[Graph]]]:
             g = stack.pop()
             if g.n == n:  # only K1, the one child of the empty graph
                 yield Graph._trusted(0, ()), [g]
-                continue
-            accepted = _accepted(g, n, m)
-            yield g, accepted
-            if g.n < n - 1:
+            elif g.n == n - 1:
+                yield g, None
+            else:
+                accepted = _accepted(g, n, m)
+                yield g, accepted
                 stack.extend(_firsts(accepted))
 
 
@@ -212,8 +217,8 @@ def canonical_codes(task: EnumerationTask) -> Iterator[CanonicalForm]:
     """Each class's code, as ``canonical_form`` holds it, in ``connected_graphs``
     order: per parent, the first leaf of each class, taken in reverse."""
     for parent, leaves in _leaf_batches(task):
-        if parent.n == task.n - 1:
-            yield from reversed(dict.fromkeys(map(canonical_form, leaves)))
+        if parent.n == task.n - 1:  # None, or K1 for n = 1
+            yield from reversed(dict.fromkeys(map(canonical_form, leaves or _accepted(parent, task.n, task.m))))
 
 
 def connected_graphs(task: EnumerationTask) -> Iterator[Graph]:
@@ -224,7 +229,8 @@ def connected_graphs(task: EnumerationTask) -> Iterator[Graph]:
 
 def walk_classes(task: EnumerationTask) -> Iterator[Graph]:
     """Each class's first child as it stands, at every level of the task's walk, in ``canonical_codes`` order."""
-    return (g for _, leaves in _leaf_batches(task) for g in reversed(list(_firsts(leaves))))
+    return (g for parent, leaves in _leaf_batches(task) for g in reversed(list(_firsts(
+        _accepted(parent, task.n, task.m) if leaves is None else leaves))))
 
 
 def map_partitions(fn: Callable[[EnumerationTask], Any], orders: Iterable[int],
@@ -262,18 +268,32 @@ def _keep_max(best: dict, cell: Hashable, value, graphs: list[Graph]) -> None:
 
 def _fold_task(svals: tuple[int, ...], orders: frozenset[int], task: EnumerationTask) -> dict:
     best: dict = {}
+    maxima: dict[int, list[int]] = {}  # m: the most k_s per s of any top-order child so far, tested or not
+    kept = []  # (top-order parent, [(mask, m, k_s per s)] of the children that reached maxima as it then stood)
     for parent, leaves in _leaf_batches(task):
-        n = parent.n + 1
-        if n not in orders:  # a level of the walk that nobody asked for
+        if parent.n + 1 not in orders:  # a level of the walk that nobody asked for
             continue
-        top = min(max(svals), n)  # no clique is larger than the graph
-        counts, e = _clique_counts(parent.adj, (1 << parent.n) - 1, top), parent.m
-        for g in reversed(leaves):
-            mask = g.adj[-1]  # the new vertex's neighbours in the parent
-            within = _clique_counts(parent.adj, mask, max(top - 1, 1))  # top is 1 only for K1
-            m = e + mask.bit_count()
-            for s in svals:
-                _keep_max(best, (n, m, s), counts[s] + within[s - 1] if s <= top else 0, [g])
+        table, e, reach = _subset_counts(parent.adj), parent.m, []
+        if leaves is not None:  # tested by the walk: a level below the top, or K1
+            for g in reversed(leaves):
+                for s, value in zip(svals, _child_counts(table, g.adj[-1], svals)):
+                    _keep_max(best, (g.n, e + g.adj[-1].bit_count(), s), value, [g])
+            continue
+        for mask in _masks(parent, task.n, task.m):
+            m, values = e + mask.bit_count(), _child_counts(table, mask, svals)
+            most = maxima.setdefault(m, values)
+            if any(map(ge, values, most)):
+                maxima[m] = list(map(max, values, most))
+                reach.append((mask, m, values))
+        kept.append((parent, reach))
+    for parent, reach in kept:  # test only the children that reach a task maximum
+        picked = [(mask, m, values) for mask, m, values in reach if any(map(ge, values, maxima[m]))]
+        test = _ParentTest(parent) if picked else None
+        for mask, m, values in reversed(picked):
+            if (rows := test.child_rows(mask)) is not None:
+                g = Graph._trusted(task.n, rows)
+                for s, value in zip(svals, values):
+                    _keep_max(best, (task.n, m, s), value, [g])
     # a class's duplicates are siblings and attain together; its last sits where connected_graphs has it
     for cell, (value, graphs) in best.items():
         codes = dict.fromkeys(map(canonical_form, reversed(graphs)))
@@ -288,13 +308,17 @@ def argmax_fold(orders: Iterable[int], svals: Iterable[int], workers: int = 1) -
 
     Each graph of order n is its parent P plus one vertex v joined to a
     mask of P, so k_s(G) = k_s(P) + k_{s-1}(P[mask]), the deletion
-    identity at v. P's counts are taken once, each child's from its mask
-    alone, and only up to min(max(svals), n): a larger s reads 0.
-    A task canonicalizes only its attaining graphs. It walks every level
-    of its subtree but folds only the levels of the orders asked. Each
-    task's part merges by the same rule as it arrives, in task order, so
-    the maxima and the attaining lists, in the yield order of one pass
-    per order, depend neither on ``workers`` nor on the other orders asked.
+    identity at v: P's subset table gives every child's counts. A task
+    walks every level of its subtree but folds only the orders asked. At
+    its top order it bounds before it tests: a first pass takes each
+    (m, s) maximum over all children, accepted or not, and a second tests
+    and folds only the children that reach one. Some task accepts every
+    child's class with the same value, so that maximum lies between the
+    task's over its accepted children and the cell's; a cell that no
+    accepted child reaches gets nothing from the task that the merge keeps.
+    Each task's part merges by the same rule as it arrives, in task order,
+    so the maxima and attaining lists, in the yield order of one pass per
+    order, depend neither on ``workers`` nor on the other orders asked.
     """
     svals = tuple(svals)
     if not svals or min(svals) < 1:

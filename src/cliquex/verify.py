@@ -307,16 +307,15 @@ def _suite_pendant_move(rng: random.Random, iterations: int) -> _Checks:
         ), [g]
 
 
-def _noncut_vertex_holds(g: Graph, core: Graph) -> bool | None:
-    """Every 2-core either is the (r+1)-clique or owns a non-cutvertex
-    of degree at most r - 1; None outside the r >= 3 domain.
+def _noncut_vertex_holds(r: int, core: Graph) -> bool | None:
+    """The 2-core of a graph of decomposition (r, t) is the (r+1)-clique or owns a non-cutvertex of degree <= r - 1;
+    None if r < 3.
 
     Holds for r >= 3 only: at r = 2 every unicyclic graph whose cycle
     is longer than a triangle is a counterexample (its 2-core is a
     cycle, all degrees 2 > r - 1, and it is not K_3), so the suite
     checks the r >= 3 domain where the statement is sound.
     """
-    r, _ = decompose_connected(g.m, g.n)
     if r < 3:
         return None
     if core.n == r + 1 and core.m == choose(r + 1, 2):  # the (r+1)-clique
@@ -352,10 +351,10 @@ def _exhaustive_task(task: EnumerationTask) -> tuple[dict[str, list], dict]:
     tallies = {"noncut-low-degree-vertex": [0, 0, []], "clique-free-band": [0, 0, []]}
     families: dict[tuple[int, CanonicalForm], tuple[Graph, list[Graph]]] = {}
     for g in walk_classes(task):
-        core = kernel(g, 1)
-        _tally(tallies["noncut-low-degree-vertex"], _noncut_vertex_holds(g, core), [g])
+        m, core = g.m, kernel(g, 1)  # Graph.m counts the rows on each read
+        _tally(tallies["noncut-low-degree-vertex"], _noncut_vertex_holds(decompose_connected(m, g.n)[0], core), [g])
         for s in (3, 4, 5):  # below the excess threshold no s-clique can exist
-            if g.m - g.n <= choose(s, 2) - s - 1:
+            if m - g.n <= choose(s, 2) - s - 1:
                 _tally(tallies["clique-free-band"], count_s_cliques(g, s) == 0, [g])
         if g.n <= 7 and 0 < core.n <= 5 and core.n < g.n:
             families.setdefault((g.n, canonical_form(core)), (core, []))[1].append(g)

@@ -197,6 +197,9 @@ def test_integer_options_take_ascii_digits_only(capsys, argv):
         (("verify", "extremal-kernels", "--nmax", "5", "--seed", "1"), 2),
         (("verify", "s-order", "--nmax", "5", "--seed", "1"), 2),
         (("count", "--s", "3", "--format", "graph6"), 2),
+        # an unknown option before the command or the verify target
+        (("--zz", "count", "--s", "3"), 2),
+        (("verify", "--zz", "max-cliques", "--nmax", "4"), 2),
     ],
 )
 def test_bad_arguments_fail_before_enumerating(capsys, monkeypatch, argv, code):
@@ -221,12 +224,16 @@ def test_bad_arguments_fail_before_enumerating(capsys, monkeypatch, argv, code):
         (("verify", "lemmas", "--nmax", "5", "--s", "3"), "verify lemmas", "--s 3"),
         (("count", "--s", "3", "--format", "graph6"), "count", "--format graph6"),
         (("bound", "--m", "10", "--s", "3", "--zz"), "bound", "--zz"),
+        # before the command, the top level or the verify group owns the place
+        (("--zz", "bound", "--m", "10", "--s", "3"), "", "--zz"),
+        (("verify", "--zz", "max-cliques", "--nmax", "4"), "verify", "--zz"),
     ],
 )
 def test_unknown_options_print_their_commands_usage(capsys, argv, prog, unknown):
+    name = f"cliquex {prog}".strip()
     code, out, err = invoke(capsys, *argv)
-    assert (code, out) == (2, "") and err.startswith(f"usage: cliquex {prog} ")
-    assert err.endswith(f" error: unrecognized arguments: {unknown}\n")
+    assert (code, out) == (2, "") and err.startswith(f"usage: {name} ")
+    assert err.endswith(f"\n{name}: error: unrecognized arguments: {unknown}\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -535,6 +542,9 @@ TRANSCRIPTS = [
     (("verify", "max-cliques", "--nmax", "5", "--seed", "1"), "", "9cf6a39dff39d0d2"),
     (("verify", "lemmas", "--nmax", "5", "--s", "3"), "", "e26d6b559c1accf1"),
     (("bound", "--m", "10", "--s", "3", "--zz"), "", "6b8360c1a8f91e9f"),
+    # ... and one before the command with the usage of the top level or the verify group
+    (("--zz", "bound", "--m", "10", "--s", "3"), "", "563790cb5004c88e"),
+    (("verify", "--zz", "max-cliques", "--nmax", "4"), "", "6a2fbcfe30a67713"),
 ]
 
 

@@ -29,6 +29,7 @@ from cliquex.enumeration import (
     _ParentTest,
     map_partitions,
 )
+from cliquex.cliques import _subset_counts
 from cliquex.graphs import _is_cut_vertex, _without_vertex, are_twins
 from conftest import as_networkx
 from labeled_oracle import labeled_classes
@@ -521,21 +522,27 @@ def test_argmax_fold_order_invariance():
 
 
 def test_argmax_fold_equals_a_fold_over_connected_graphs():
-    """The fold reads raw leaves, sibling duplicates included, and
-    canonicalizes only the attaining ones when a task ends. Its maxima
-    and attaining lists, order within them included, are those of a fold
-    over the classes connected_graphs yields, at 1 and 2 workers."""
-    reference: dict = {}
-    for n in range(1, 8):
-        best = reference[n] = {}
-        for g in connected_graphs(EnumerationTask(n)):
-            for cell, value in (((g.m, s), count_s_cliques(g, s)) for s in (3, 4, 5)):
-                if cell not in best or value > best[cell][0]:
-                    best[cell] = (value, [g])
-                elif value == best[cell][0]:
-                    best[cell][1].append(g)
-    for workers in (1, 2):
-        assert argmax_fold(range(1, 8), (3, 4, 5), workers) == reference
+    """The fold reads raw leaves, sibling duplicates included, tests only
+    the top order's children that reach a task maximum, and canonicalizes
+    only the attaining ones when a task ends. Its maxima and attaining
+    lists, order within them included, are those of a fold over the
+    classes connected_graphs yields, at 1 and 2 workers: up to n = 7 for
+    s in (3, 4, 5), and over the 11,117 classes of order 8, the largest
+    tier-1 tree, for s in (3, 4)."""
+    for orders, svals in ((range(1, 8), (3, 4, 5)), ([8], (3, 4))):
+        reference: dict = {}
+        for n in orders:
+            best = reference[n] = {}
+            classes = list(connected_graphs(EnumerationTask(n)))
+            for g in classes:
+                for cell, value in (((g.m, s), count_s_cliques(g, s)) for s in svals):
+                    if cell not in best or value > best[cell][0]:
+                        best[cell] = (value, [g])
+                    elif value == best[cell][0]:
+                        best[cell][1].append(g)
+        for workers in (1, 2):
+            assert argmax_fold(orders, svals, workers) == reference, (list(orders), svals, workers)
+    assert len(classes) == 11117
 
 
 def _carried_counts(monkeypatch, task, svals):
@@ -550,9 +557,11 @@ def _carried_counts(monkeypatch, task, svals):
 
 def test_fold_carries_each_leafs_size_and_clique_counts_from_its_parent(monkeypatch):
     """A leaf's n, m and k_s are its parent's plus the new vertex's mask
-    term. They equal the from-scratch counts on every leaf (sibling
-    duplicates included) up to n = 8 and on the first order-9 root task,
-    whose walk folds every order above the frontier, 7 to 9, and the
+    term. They equal the from-scratch counts on every leaf the fold
+    folds (sibling duplicates included): every accepted child below the
+    top order, and the top order's children that reach a task maximum.
+    That is checked up to n = 8 and on the first order-9 root task, whose
+    walk folds every order above the frontier, 7 to 9, and against the
     subset oracle up to n = 6 at every s from 3 to n + 1."""
     from test_cliques import brute_count
 
@@ -570,12 +579,49 @@ def test_fold_carries_each_leafs_size_and_clique_counts_from_its_parent(monkeypa
 
 def test_fold_searches_only_internal_nodes_and_attaining_leaves():
     """An order-8 fold runs a canonical search for the nodes below order 8,
-    the tied deletions of the parent test and the leaves that attain a
-    triangle maximum: 5406 searches in all, where canonicalizing every
-    leaf, as the one pass over n = 8 does, takes 17494."""
+    the tied deletions of the parent tests it runs and the leaves that
+    attain a triangle maximum: 2607 searches in all, where canonicalizing
+    every leaf, as the one pass over n = 8 does, takes 17494."""
     canonical_form.cache_clear()
     argmax_fold([8], (3,))
-    assert canonical_form.cache_info().misses == 5406
+    assert canonical_form.cache_info().misses == 2607
+
+
+def test_fold_tests_only_the_top_orders_children_that_reach_a_task_maximum(monkeypatch):
+    """The order-8 fold takes every order-8 child's k_3 from its parent's
+    subset table, and runs the parent test only on those that reach the
+    maximum of their task's (m, 3) cell: 10488 tests and 2607 canonical
+    searches, where testing all 85236 children took 5406 searches."""
+    tests, child_rows = [], _ParentTest.child_rows
+    monkeypatch.setattr(_ParentTest, "child_rows", lambda test, mask: tests.append(mask) or child_rows(test, mask))
+    canonical_form.cache_clear()
+    argmax_fold([8], (3,))
+    assert (len(tests), canonical_form.cache_info().misses) == (10488, 2607)
+
+
+def test_subset_tables_count_the_cliques_of_every_induced_subgraph():
+    """For every node the walks yield up to n = 8 and on the first order-9
+    root task, top-order parents included, and for every vertex mask S of
+    it, the subset table holds k_j of the graph induced on S in lane j, for
+    j up to 5, as the subset oracle counts it."""
+    from test_cliques import brute_count
+
+    tasks = [EnumerationTask(n) for n in range(1, 9)]
+    tasks.append(EnumerationTask(9, None, _frontier(9, None)[:1]))
+    nodes = {parent.adj: parent for task in tasks for parent, _ in enumeration._leaf_batches(task)}
+    oracle: dict = {}  # rows of an induced subgraph: its k_0..k_5
+    checked = 0
+    for parent in nodes.values():
+        table = _subset_counts(parent.adj)
+        assert len(table) == 1 << parent.n and table[0] == 1  # the empty set holds one 0-clique
+        for mask, counts in enumerate(table[1:], 1):
+            sub = parent.induced_subgraph(u for u in range(parent.n) if mask >> u & 1)
+            if sub.adj not in oracle:
+                oracle[sub.adj] = [brute_count(sub, j) for j in range(6)]
+            assert [counts >> 16 * j & 0xFFFF for j in range(6)] == oracle[sub.adj], (parent, mask)
+            checked += 1
+    assert {parent.n for parent in nodes.values()} == set(range(9))
+    assert checked == sum((1 << parent.n) - 1 for parent in nodes.values())
 
 
 def test_the_fold_counts_cliques_only_on_the_orders_asked(monkeypatch):
@@ -583,9 +629,8 @@ def test_the_fold_counts_cliques_only_on_the_orders_asked(monkeypatch):
     8 alone counts no clique on them, and its cells are those of order 8
     folded with every order below it."""
     with_lower = argmax_fold(range(3, 9), (3,))[8]
-    parents, counts = [], enumeration._clique_counts
-    monkeypatch.setattr(enumeration, "_clique_counts",
-                        lambda adj, *rest: parents.append(len(adj)) or counts(adj, *rest))
+    parents, tables = [], enumeration._subset_counts
+    monkeypatch.setattr(enumeration, "_subset_counts", lambda adj: parents.append(len(adj)) or tables(adj))
     assert argmax_fold([8], (3,)) == {8: with_lower}
     assert parents and set(parents) == {7}
 
@@ -615,7 +660,7 @@ def test_one_walk_folds_every_order_above_the_frontier(monkeypatch):
                         lambda parent, n, m: tested.append(parent) or accepted(parent, n, m))
     canonical_form.cache_clear()
     argmax_fold(range(3, 9), (3,))
-    assert canonical_form.cache_info().misses == 5406
+    assert canonical_form.cache_info().misses == 2607
     assert walked == [(n, (root,)) for n in (3, 4, 5, 6, 8) for root in _frontier(n, None)]
     assert len(walked) == 142
     order_six = [canonical_form(g) for g in tested if g.n == 6]

@@ -213,11 +213,11 @@ def test_noncut_check_needs_the_low_degree_vertex_to_be_no_cut():
     from cliquex.verify import _noncut_vertex_holds
 
     g = Graph.complete(5)
-    assert decompose_connected(g.m, g.n)[0] == 4 and _noncut_vertex_holds(g, kernel(g, 1))
+    assert decompose_connected(g.m, g.n)[0] == 4 and _noncut_vertex_holds(4, kernel(g, 1))
     cliques = [(u, v) for base in (0, 6) for u in range(base, base + 5) for v in range(u + 1, base + 5)]
     core = Graph.from_edges(11, cliques + [(4, 5), (5, 6)])
     assert [u for u in range(core.n) if core.degree(u) <= 3] == [5] and 5 in core.articulation_points()
-    assert _noncut_vertex_holds(g, core) is False
+    assert _noncut_vertex_holds(4, core) is False
 
 
 def test_reports_are_deterministic():
@@ -285,7 +285,7 @@ def test_lemma_task_returns_tallies_and_small_order_families():
     root = next(r for r in _frontier(8, None) if to_graph6(r) == "EqHO")
     sevens, eights = (list(connected_graphs(EnumerationTask(n, None, (root,)))) for n in (7, 8))
     tallies, families = _exhaustive_task(EnumerationTask(8, None, (root,)))
-    holds = [_noncut_vertex_holds(g, kernel(g, 1)) for g in sevens + eights]
+    holds = [_noncut_vertex_holds(decompose_connected(g.m, g.n)[0], kernel(g, 1)) for g in sevens + eights]
     bands = [g for g in sevens + eights for s in (3, 4, 5) if g.m - g.n <= s * (s - 3) // 2 - 1]
     assert tallies == {"noncut-low-degree-vertex": [holds.count(True), len(holds) - holds.count(None), []],
                        "clique-free-band": [len(bands), len(bands), []]}
