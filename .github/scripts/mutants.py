@@ -54,8 +54,8 @@ ROWS = [
         'raise Graph6Error(f"need {need} data bytes, found {len(body)}")',
         ("tests/test_graphs.py::test_graph6_parse_errors_are_distinct",)),
     # the key table's spread recurrence is off by one vertex
-    Row("src/cliquex/enumeration.py", "self.spreads += [spread | 1 << 64 * v for spread in self.spreads]",
-        "self.spreads += [spread | 1 << 64 * (v + 1) for spread in self.spreads]",
+    Row("src/cliquex/enumeration.py", "spreads += [spread | 1 << 64 * v for spread in spreads]",
+        "spreads += [spread | 1 << 64 * (v + 1) for spread in spreads]",
         ("tests/test_enumeration.py::test_parent_test_arithmetic_matches_the_rows",)),
     # the fold tests every top-order child, as the walk behind enumerate does
     Row("src/cliquex/enumeration.py", "_leaf_batches(task):\n        if parent.n + 1 not in orders:",
@@ -126,6 +126,16 @@ ROWS = [
     # an unknown option before the command is reported with the command's usage
     Row("src/cliquex/cli.py", "if at != name), args.parsers[-1])", "if False), args.parsers[-1])",
         ("tests/test_cli.py::test_unknown_options_print_their_commands_usage",)),
+    # the canonical search's filter keeps the candidates adjacent to a placed vertex, not those apart from it
+    Row("src/cliquex/graphs.py", "if kept := cands & far:", "if kept := cands & ~far:",
+        ("tests/test_graphs.py::test_canonical_form_matches_reference_on_every_small_class",)),
+    # the first cut reads every lane, so a cut vertex of the parent refutes children it may not
+    Row("src/cliquex/enumeration.py", "for u in range(k) if not self.parts[u])", "for u in range(k))",
+        ("tests/test_enumeration.py::test_totals_per_order",)),
+    # the first cut also takes one-vertex masks, whose vertex is a cut vertex of the child
+    Row("src/cliquex/enumeration.py", "if not (mask & mask - 1 and ~(keys(mask) + bias) & noncut)]",
+        "if not ~(keys(mask) + bias) & noncut]",
+        ("tests/test_enumeration.py::test_matches_networkx_atlas_counts",)),
     # a cold-start pin that no benchmark pin matches
     Row(".github/scripts/cold_start.sh", "2 ccf7e2b8788d", "2 ccf7e2b8788e",
         ("tests/test_ci_scripts.py::test_same_report_compares_reports_and_raw_output",)),

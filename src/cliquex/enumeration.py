@@ -13,8 +13,11 @@ The parent test (``_ParentTest``) is decided from the parent and the
 child's neighbour mask. Per parent it keeps a table by mask from which
 each deletion's degree key (the keys packed in one integer) is read,
 and the components of each parent - u, from which the cut verdicts
-follow. Most children lose on the key alone;
-rows are built only for a mask that passes, and a canonical search
+follow. Most children lose on the key alone, most of them to a first
+cut: a non-cut vertex of the parent stays one in a child whose mask
+has two or more vertices, so one packed comparison per mask rejects
+it if such a vertex's key is below the parent's, before ``child_rows``.
+Rows are built only for a mask that passes, and a canonical search
 runs only for a non-cut deletion whose key ties the parent's.
 Twins (vertices with the same neighbours apart from each other) are
 used twice. Swapping two twins of the parent is an automorphism, so
@@ -46,7 +49,7 @@ parent test written out rule by rule) live in the test suite.
 from __future__ import annotations
 
 import os
-from functools import partial
+from functools import lru_cache, partial
 from operator import ge
 from typing import Any, Callable, Hashable, Iterable, Iterator
 
@@ -91,6 +94,15 @@ def _degree_key(degrees: Iterable[int]) -> int:
     return sum(1 << 4 * k for k in degrees)
 
 
+@lru_cache(maxsize=None)
+def _spreads(k: int) -> tuple[int, ...]:
+    """spreads[mask]: bit 64v per v in mask, for every mask of k vertices."""
+    spreads = [0]
+    for v in range(k):
+        spreads += [spread | 1 << 64 * v for spread in spreads]
+    return tuple(spreads)
+
+
 class _ParentTest:
     """Did the child with neighbour mask ``mask`` (vertex k joined to the
     parent's vertices in the mask) come from its canonical parent: is k a
@@ -106,11 +118,10 @@ class _ParentTest:
         # lane u of weights[v]: 15 times v's term in key(parent - u), its gain when v joins the new vertex
         weights = [sum(15 << 4 * (d - (row >> u & 1)) + 64 * u for u in range(k) if u != v)
                    for v, (d, row) in enumerate(zip(degrees, adj))]
-        # sums[mask]: the key of each parent - u plus the weights in mask; spreads[mask]: bit 64v per v in mask
-        self.sums, self.spreads = [sum(weights) // 15], [0]
-        for v, weight in enumerate(weights):
+        # sums[mask]: the key of each parent - u plus the weights in mask; spreads: one table per order
+        self.sums, self.spreads = [sum(weights) // 15], _spreads(k)
+        for weight in weights:
             self.sums += [total + weight for total in self.sums]
-            self.spreads += [spread | 1 << 64 * v for spread in self.spreads]
         self.parts = []  # parts[u]: the components of parent - u if u is a cut vertex, else none
         for u in range(k):
             left, parts = ((1 << k) - 1) ^ (1 << u), []
@@ -118,6 +129,9 @@ class _ParentTest:
                 parts.append(_reach(adj, left & -left, left))
                 left ^= parts[-1]
             self.parts.append(parts if len(parts) > 1 else [])
+        # the top bits of the lanes of the parent's non-cut vertices: each stays a non-cut vertex of a
+        # child whose mask has two or more vertices, since parent - u is connected and the mask meets it
+        self.noncut = sum(1 << 64 * u + 63 for u in range(k) if not self.parts[u])
 
     def keys(self, mask: int) -> int:
         """Lane u: key(parent - u) + 15 * 16**deg_{parent-u}(v) per v in mask - u + 16**|mask - u|."""
@@ -148,6 +162,13 @@ class _ParentTest:
                 return None
         return rows
 
+    def accepted(self, masks: list[int]) -> dict[int, tuple[int, ...]]:
+        """The rows of each child that passes, by mask in mask order. The first cut refutes a mask of
+        two or more vertices whose key puts a non-cut vertex's lane below the parent's, as child_rows would."""
+        keys, bias, noncut = self.keys, self.bias, self.noncut
+        left = [mask for mask in masks if not (mask & mask - 1 and ~(keys(mask) + bias) & noncut)]
+        return {mask: rows for mask in left if (rows := self.child_rows(mask)) is not None}
+
 
 def _masks(parent: Graph, n: int, m: int | None) -> list[int]:
     """The masks tried on one parent, ascending: the least of each twin orbit, in the edge budget."""
@@ -170,8 +191,8 @@ def _masks(parent: Graph, n: int, m: int | None) -> list[int]:
 
 def _accepted(parent: Graph, n: int, m: int | None) -> list[Graph]:
     """Accepted children of one parent in mask order, sibling duplicates included."""
-    tested = map(_ParentTest(parent).child_rows, _masks(parent, n, m))
-    return [Graph._trusted(parent.n + 1, rows) for rows in tested if rows is not None]
+    accepted = _ParentTest(parent).accepted(_masks(parent, n, m))
+    return [Graph._trusted(parent.n + 1, rows) for rows in accepted.values()]
 
 
 def _firsts(graphs: Iterable[Graph]) -> Iterator[Graph]:
@@ -288,9 +309,9 @@ def _fold_task(svals: tuple[int, ...], orders: frozenset[int], task: Enumeration
         kept.append((parent, reach))
     for parent, reach in kept:  # test only the children that reach a task maximum
         picked = [(mask, m, values) for mask, m, values in reach if any(map(ge, values, maxima[m]))]
-        test = _ParentTest(parent) if picked else None
+        accepted = _ParentTest(parent).accepted([mask for mask, _, _ in picked]) if picked else {}
         for mask, m, values in reversed(picked):
-            if (rows := test.child_rows(mask)) is not None:
+            if (rows := accepted.get(mask)) is not None:
                 g = Graph._trusted(task.n, rows)
                 for s, value in zip(svals, values):
                     _keep_max(best, (task.n, m, s), value, [g])

@@ -18,10 +18,12 @@ the components the engine's parent test keeps. ``_without_vertex`` deletes a ver
 An isomorphism class is named by the graph6 record of its canonical
 labeling (``canonical_form``), and ``canonical_graph`` decodes that
 record, so one canonical search serves both; the decoder's rows are
-simple by construction and skip validation. One packer writes every
-graph6 record. Text input is read one "\\n"-separated line at a time,
-with only ASCII whitespace stripped, so no other control character
-ever separates or ends a record.
+simple by construction and skip validation. The search keeps no column
+per vertex: at each depth it filters the candidates by the placed
+vertices in position order, which leaves exactly those of least column.
+One table-driven packer writes every graph6 record. Text input is read
+one "\\n"-separated line at a time, with only ASCII whitespace
+stripped, so no other control character ever separates or ends a record.
 """
 
 from __future__ import annotations
@@ -282,18 +284,6 @@ def are_twins(adj: tuple[int, ...], a: int, b: int) -> bool:
     return adj[a] & ~(1 << b) == adj[b] & ~(1 << a)
 
 
-def _twin_skip(g: Graph, candidates: list[int]) -> list[int]:
-    """Drop candidates interchangeable with an earlier one by a transposition."""
-    kept: list[int] = []
-    for c in candidates:
-        for k in kept:
-            if are_twins(g.adj, k, c):
-                break
-        else:
-            kept.append(c)
-    return kept
-
-
 @lru_cache(maxsize=1 << 16)
 def canonical_form(g: Graph) -> CanonicalForm:
     """Relabeling-invariant code: the graph6 record of the canonical
@@ -303,63 +293,64 @@ def canonical_form(g: Graph) -> CanonicalForm:
     Positions are pre-assigned degrees (nonincreasing), so only
     permutations listing vertices in sorted-degree order compete; at
     each depth only candidates realizing the minimal adjacency column
-    branch. Twins collapse to a single branch. Position i is bit n-1-i
-    of a column, so placing a vertex sets one bit in its unplaced
-    neighbours' columns. A partial bit field is pruned against the best
-    field's prefix. The search is one loop over an explicit stack: a
-    node walks down its first branch in place and pushes the others,
-    each on a copy of the columns, to pop in ascending vertex order.
+    branch. Twins collapse to a single branch. No column is kept: the
+    candidates at depth d are filtered by each placed vertex in position
+    order, keeping those not adjacent to it if any are (a 0 bit of the
+    column) and all of them if none is (a 1 bit), so the survivors are
+    exactly the candidates whose column is least, and the d bits are
+    that column. A partial bit field is pruned against the best field's
+    prefix. The search is one loop over an explicit stack: a node walks
+    down its first branch in place and pushes the others, to pop in
+    ascending vertex order. One list holds, for each placed vertex of
+    the walked path, the vertices not adjacent to it; a popped node
+    truncates it to its own depth.
     Exact for n <= 12; highly symmetric graphs near that cap can be slow.
     """
     n = g.n
     if n > MAX_CANONICAL_VERTICES:
         raise ValueError(f"canonical form limited to n <= {MAX_CANONICAL_VERTICES}")
     adj = g.adj
-    degs = [row.bit_count() for row in adj]
-    by_degree = dict.fromkeys(degs, 0)
+    degs = list(map(int.bit_count, adj))
+    by_degree = [0] * n  # by_degree[k]: the vertices of degree k < n
     for u, k in enumerate(degs):
         by_degree[k] |= 1 << u
     cells = [by_degree[k] for k in sorted(degs, reverse=True)]  # cells[d]: position d's candidates
     shift = _SHIFTS[n]
-    best: int | None = None
-    # a node: depth d, the unplaced vertices, cols[u] (u's adjacency to the placed
-    # vertices, position i at bit n-1-i), the field so far, and the neighbours of
-    # the vertex at position d - 1 whose columns still lack its bit
-    stack = [(0, (1 << n) - 1, [0] * n, 0, 0)] if n else []
+    best = 1 << n * (n - 1) // 2  # above every field until the first leaf
+    path: list[int] = []  # path[i]: the vertices not adjacent to the vertex at position i
+    # a node: depth d, the unplaced vertices, the field so far, and what follows
+    # path[:d - 1] (the vertex at position d - 1's entry; the root's is empty)
+    stack = [(0, (1 << n) - 1, 0, ())] if n else []
     while stack:
-        d, unplaced, cols, field, nbrs = stack.pop()
+        d, unplaced, field, path[d - 1:] = stack.pop()
         while True:
-            placed = 1 << (n - d)  # the bit of position d - 1
-            while nbrs:
-                bit = nbrs & -nbrs
-                nbrs ^= bit
-                cols[bit.bit_length() - 1] |= placed
-            cands = cells[d] & unplaced
-            low = 1 << n  # above every column
-            while cands:
-                bit = cands & -cands
-                cands ^= bit
-                u = bit.bit_length() - 1
-                col = cols[u]
-                if col < low:
-                    low, branch = col, [u]
-                elif col == low:
-                    branch.append(u)
-            field = (field << d) | (low >> (n - d))  # the column's d bits
-            if best is not None and field > best >> shift[d]:
+            cands, col = cells[d] & unplaced, 0
+            for far in path:  # the least column: bit 0 wherever some candidate allows it
+                if kept := cands & far:
+                    cands, col = kept, col << 1
+                else:
+                    col = col << 1 | 1
+            field = field << d | col
+            if field > best >> shift[d]:
                 break
             if d == n - 1:
                 best = field
                 break
-            if len(branch) > 1:
-                branch = _twin_skip(g, branch)
-                for u in branch[:0:-1]:  # each later branch on its own copy
-                    rest = unplaced ^ (1 << u)
-                    stack.append((d + 1, rest, cols.copy(), field, adj[u] & rest))
-            unplaced ^= 1 << branch[0]  # the first branch goes on in place
-            nbrs = adj[branch[0]] & unplaced
+            low = cands & -cands
+            if cands ^ low:  # a tie: the least of each twin class branches, the later ones pushed
+                branch = [low.bit_length() - 1]
+                for c in _bits(cands ^ low):
+                    for k in branch:
+                        if are_twins(adj, k, c):
+                            break
+                    else:
+                        branch.append(c)
+                for c in reversed(branch[1:]):
+                    stack.append((d + 1, unplaced ^ 1 << c, field, (~adj[c],)))
+            unplaced ^= low  # the first branch goes on in place
+            path.append(~adj[low.bit_length() - 1])
             d += 1
-    return _graph6(n, best or 0)  # n = 0: the empty field
+    return _graph6(n, best)  # n = 0 packs no field bit
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -378,6 +369,7 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 # ── graph6 interchange format ─────────────────────────────────────
 
 _G6_HEADER = ">>graph6<<"
+_G6_CHARS = [chr(63 + group) for group in range(64)]  # the character of each 6-bit group
 
 
 def _graph6(n: int, field: int) -> str:
@@ -391,7 +383,7 @@ def _graph6(n: int, field: int) -> str:
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     field <<= 6 * need - nbits
-    return header + "".join(chr(63 + ((field >> 6 * k) & 63)) for k in reversed(range(need)))
+    return header + "".join([_G6_CHARS[field >> k & 63] for k in range(6 * need - 6, -1, -6)])
 
 
 def to_graph6(g: Graph) -> str:

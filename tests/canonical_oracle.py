@@ -1,7 +1,10 @@
 """The canonical search as first written, kept as the reference for
-the incremental one in ``canonical_form``: at every node it rebuilds
-each candidate's column from all placed vertices and compares chunk
-lists. The two must return the same code for every graph."""
+``canonical_form``. This one recurses, builds every candidate's column
+bit by bit from all placed vertices, takes the least column with
+``min`` and compares chunk lists. ``canonical_form`` keeps no column:
+it walks an explicit stack and filters the candidates by each placed
+vertex in turn, which leaves those of least column and spells that
+column out. The two must return the same code for every graph."""
 
 from cliquex.graphs import MAX_CANONICAL_VERTICES, CanonicalForm, Graph, _graph6
 

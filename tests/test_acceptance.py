@@ -33,6 +33,8 @@ from polya_oracle import connected_counts
 
 # sha256 of `cliquex enumerate --n 8`: the sorted graph6 lines, one per class
 ENUMERATE_N8_SHA256 = "8e7075e223c1a2727f8de7b26c35d98364a8c70bcffefd84594ff010a420c738"
+# the same for `cliquex enumerate --n 9`
+ENUMERATE_N9_SHA256 = "a90fe747fcff01ebb69a11ec2cf225b8bbafe4a055a8dae03e257624e6239229"
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -243,15 +245,24 @@ def test_criterion_8_polya_counts_n8(order_eight_classes):
 @pytest.mark.extended
 @pytest.mark.skipif(not EXTENDED, reason="set CLIQUEX_EXTENDED=1 for the n=9 sweep")
 def test_criterion_8_extended_polya_counts_n9():
+    """Engine class counts equal the Pólya counts on every (9, m) cell,
+    and the sorted graph6 lines hash to the pinned `enumerate --n 9`
+    output, so no class's code can change unseen."""
     start = time.perf_counter()
-    sizes = Counter(g.m for g in connected_graphs(EnumerationTask(9)))
+    sizes, lines = Counter(), []
+    for g in connected_graphs(EnumerationTask(9)):
+        sizes[g.m] += 1
+        lines.append(to_graph6(g))
     bad = polya_mismatches(9, sizes)
+    lines.sort()
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
     elapsed = time.perf_counter() - start
-    total = sum(sizes.values())
     report("criterion 8 (extended): engine vs Pólya oracle, all n=9 cells",
-           not bad and total == 261080, f"{total} classes in {elapsed:.0f}s")
+           not bad and len(lines) == 261080 and digest == ENUMERATE_N9_SHA256,
+           f"{len(lines)} classes in {elapsed:.0f}s")
     assert not bad, bad
-    assert total == 261080
+    assert len(lines) == 261080
+    assert digest == ENUMERATE_N9_SHA256
 
 
 @pytest.mark.extended

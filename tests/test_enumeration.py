@@ -66,29 +66,46 @@ def reference_is_canonical_child(child: Graph, parent_code: str) -> bool:
     )
 
 
+def cut_and_rows(test: _ParentTest, masks: list[int]) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+    """The masks ``test.accepted`` hands on to ``child_rows``, in call order, and what it returns."""
+    reached, child_rows = [], test.child_rows
+    test.child_rows = lambda mask: reached.append(mask) or child_rows(mask)
+    try:
+        return reached, test.accepted(masks)
+    finally:
+        del test.child_rows
+
+
 def test_parent_test_matches_reference_rule():
     """Every (parent, neighbour mask) the engine tries for n <= 7 gets the
-    reference verdict, and every graph the engine builds without
-    validation is the one the validated constructors build."""
+    reference verdict, every mask the first cut refutes (4980 of them) gets
+    the verdict False, and every graph the engine builds without validation is the
+    one the validated constructors build."""
     level = [Graph(1, (0,))]
-    tried = accepted = 0
+    tried = accepted = refuted = 0
     for k in range(1, 7):
         grown = []
         for parent in level:
             code = canonical_form(parent)
             test = _ParentTest(parent)
+            verdicts = {}
             for mask in range(1, 1 << k):
                 child = parent.add_vertex(u for u in range(k) if (mask >> u) & 1)
                 rows = test.child_rows(mask)
                 assert rows in (None, child.adj)
-                verdict = rows is not None
-                assert verdict == reference_is_canonical_child(child, code), (parent, mask)
+                verdicts[mask] = reference_is_canonical_child(child, code)
+                assert (rows is not None) == verdicts[mask], (parent, mask)
                 tried += 1
-                accepted += verdict
+                accepted += verdicts[mask]
                 for u in range(k):
                     deleted = _without_vertex(child.adj, u)
                     assert deleted == without(child, u)
                     assert Graph(deleted.n, deleted.adj) == deleted
+            reached, passed = cut_and_rows(test, list(verdicts))
+            cut = set(verdicts) - set(reached)
+            assert not any(verdicts[mask] for mask in cut), parent
+            assert list(passed) == [mask for mask, verdict in verdicts.items() if verdict]
+            refuted += len(cut)
             for child in _firsts(_accepted(parent, 7, None)):
                 assert child == parent.add_vertex(child.neighbors(k))
                 assert Graph(child.n, child.adj) == child
@@ -96,7 +113,7 @@ def test_parent_test_matches_reference_rule():
         level = grown
     assert len(level) == CONNECTED_TOTALS[7]
     # tried: sum over orders k <= 6 of (classes of order k) * (2^k - 1)
-    assert (tried, accepted) == (7815, 1628)
+    assert (tried, accepted, refuted) == (7815, 1628, 4980)
 
 
 def test_parent_test_arithmetic_matches_the_rows():
@@ -126,11 +143,13 @@ def test_key_table_at_its_widest_matches_the_rows():
     """The key tables of a fixed sample of order-7 and order-8 parents in
     the n = 9 tree, 2**8 entries at the widest: for every neighbour mask
     and every parent vertex u, the packed key of child - u is the degree
-    key of the deleted rows."""
+    key of the deleted rows. The first cut refutes only masks that
+    ``child_rows`` rejects (7870 of them), and hands it the rest in mask
+    order."""
     order_seven = [child for root in _frontier(9, None)[::32]
                    for child in _firsts(_accepted(root, 9, None))]
     order_eight = [next(_firsts(_accepted(parent, 9, None))) for parent in order_seven[::2]]
-    checked = 0
+    checked = refuted = 0
     for parent in order_seven + order_eight:
         k, test = parent.n, _ParentTest(parent)
         assert len(test.sums) == len(test.spreads) == 1 << k
@@ -142,8 +161,16 @@ def test_key_table_at_its_widest_matches_the_rows():
                 lane = keys >> 64 * u & (1 << 64) - 1
                 assert lane == _degree_key(_without_vertex(rows, u).degrees()), (parent, mask, u)
                 checked += 1
+        masks = list(range(1, 1 << k))
+        reached, passed = cut_and_rows(test, masks)
+        assert reached == sorted(set(reached)), parent
+        cut = set(masks) - set(reached)
+        assert all(test.child_rows(mask) is None for mask in cut), parent
+        assert list(passed.items()) == [(mask, rows) for mask in masks if (rows := test.child_rows(mask)) is not None]
+        refuted += len(cut)
     assert {parent.n for parent in order_eight} == {8}
     assert checked == len(order_seven) * 127 * 7 + len(order_eight) * 255 * 8
+    assert refuted == 7870
 
 
 @st.composite
@@ -589,14 +616,17 @@ def test_fold_searches_only_internal_nodes_and_attaining_leaves():
 
 def test_fold_tests_only_the_top_orders_children_that_reach_a_task_maximum(monkeypatch):
     """The order-8 fold takes every order-8 child's k_3 from its parent's
-    subset table, and runs the parent test only on those that reach the
-    maximum of their task's (m, 3) cell: 10488 tests and 2607 canonical
-    searches, where testing all 85236 children took 5406 searches."""
-    tests, child_rows = [], _ParentTest.child_rows
-    monkeypatch.setattr(_ParentTest, "child_rows", lambda test, mask: tests.append(mask) or child_rows(test, mask))
+    subset table, and hands the parent test only those that reach the
+    maximum of their task's (m, 3) cell: 10488 masks and 2607 canonical
+    searches, where testing all 85236 children took 5406 searches. The
+    first cut refutes all but 5104 of them before ``child_rows``."""
+    tested, reached = [], []
+    accepted, child_rows = _ParentTest.accepted, _ParentTest.child_rows
+    monkeypatch.setattr(_ParentTest, "accepted", lambda test, masks: tested.extend(masks) or accepted(test, masks))
+    monkeypatch.setattr(_ParentTest, "child_rows", lambda test, mask: reached.append(mask) or child_rows(test, mask))
     canonical_form.cache_clear()
     argmax_fold([8], (3,))
-    assert (len(tests), canonical_form.cache_info().misses) == (10488, 2607)
+    assert (len(tested), len(reached), canonical_form.cache_info().misses) == (10488, 5104, 2607)
 
 
 def test_subset_tables_count_the_cliques_of_every_induced_subgraph():

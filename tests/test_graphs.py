@@ -392,6 +392,18 @@ def test_canonical_form_matches_reference_on_every_small_class(rng):
                     assert canonical_form(relabeled) == reference_canonical_form(relabeled)
 
 
+def test_canonical_form_matches_reference_on_every_small_labeling():
+    # every labeled graph on at most 6 vertices, 32768 of them at n = 6
+    checked = 0
+    for n in range(7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph.from_edges(n, (pair for i, pair in enumerate(pairs) if bits >> i & 1))
+            assert canonical_form(g) == reference_canonical_form(g), g
+            checked += 1
+    assert checked == 33868
+
+
 @settings(max_examples=200, deadline=None)
 @given(graphs_and_relabelings(max_order=10))
 def test_canonical_form_matches_reference(case):
