@@ -8,7 +8,7 @@
 # runs peel kernels and run the cut test in forked workers (extremal-kernels
 # --nmax 7 on a walk that starts above order 3), carry clique counts there
 # at s = 5 and at clique orders up to and beyond the order (max-cliques
-# --s 3..8 at n <= 7), fold n = 8 with the most sibling duplicates among
+# --s 3..8 at n <= 7), fold n = 8 from the first child of each class among
 # its leaves, fold orders 7 and 8 from one walk of the order-8 tree, at
 # clique orders up to 8 (max-cliques --nmax 8 --s 3..8), bound each task's
 # top order before its parent tests, so that a task drops the cells none of

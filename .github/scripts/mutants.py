@@ -38,9 +38,11 @@ ROWS = [
     # the leaf's cliques that avoid its new vertex are dropped
     Row("src/cliquex/cliques.py", "counts = table[-1] + (table[mask] << 16)", "counts = table[mask] << 16",
         ("tests/test_enumeration.py::test_fold_carries_each_leafs_size_and_clique_counts_from_its_parent",)),
-    # the dedup keeps the first sibling duplicate, not the last
-    Row("src/cliquex/enumeration.py", "map(canonical_form, reversed(graphs))", "map(canonical_form, graphs)",
-        ("tests/test_enumeration.py::test_argmax_fold_equals_a_fold_over_connected_graphs",)),
+    # _accepted keys its firsts on the rows, so sibling duplicates leak past it into every consumer
+    Row("src/cliquex/enumeration.py", "firsts.setdefault(canonical_form(g), g)", "firsts.setdefault(rows, g)",
+        ("tests/test_enumeration.py::test_argmax_fold_equals_a_fold_over_connected_graphs",
+         "tests/test_enumeration.py::test_generation_tree_unchanged",
+         "tests/test_enumeration.py::test_accepted_keeps_the_first_child_of_each_class")),
     # the last vertex may take one edge more than the budget leaves
     Row("src/cliquex/enumeration.py", "fewest <= mask.bit_count() <= most]",
         "fewest <= mask.bit_count() <= most + (k == n - 1)]",
@@ -133,8 +135,8 @@ ROWS = [
     Row("src/cliquex/enumeration.py", "for u in range(k) if not self.parts[u])", "for u in range(k))",
         ("tests/test_enumeration.py::test_totals_per_order",)),
     # the first cut also takes one-vertex masks, whose vertex is a cut vertex of the child
-    Row("src/cliquex/enumeration.py", "if not (mask & mask - 1 and ~(keys(mask) + bias) & noncut)]",
-        "if not ~(keys(mask) + bias) & noncut]",
+    Row("src/cliquex/enumeration.py", "if not (mask & mask - 1 and ~(keys + bias) & noncut)]",
+        "if not ~(keys + bias) & noncut]",
         ("tests/test_enumeration.py::test_matches_networkx_atlas_counts",)),
     # a cold-start pin that no benchmark pin matches
     Row(".github/scripts/cold_start.sh", "2 ccf7e2b8788d", "2 ccf7e2b8788e",

@@ -27,14 +27,15 @@ since deleting it gives the parent again.
 Children and tied deletions of a valid parent are valid by
 construction and skip ``Graph`` validation.
 
-Every consumer shares one walk per task, ``_leaf_batches``, which hands
-over every node below order n - 1 with its accepted children and their
-sibling duplicates, a class's only ones; the first child of each class
-is the next node. A node of order n - 1 comes untested. ``canonical_codes``
-tests all its ``_masks`` and yields each class's canonical graph6 code,
-which ``cliquex enumerate`` prints as is and ``connected_graphs`` decodes;
-``walk_classes`` (for the lemma checks) tests them all too, and reads
-every level. ``argmax_fold`` (the one fold of clique counts) reads every
+Every consumer tests children with ``_accepted``, which keeps the first
+of each class in mask order (a class's other children are siblings of
+that one), and shares one walk per task, ``_leaf_batches``: every node
+below order n - 1 with its accepted children, each a later node, and
+each node of order n - 1 untested. ``walk_classes`` (for the lemma
+checks) tests all its ``_masks`` and reads every level;
+``canonical_codes`` yields the graph6 code of each class of order n,
+which ``cliquex enumerate`` prints as is and ``connected_graphs``
+decodes. ``argmax_fold`` (the one fold of clique counts) reads every
 level from subset tables, tests at order n only the children that reach
 a task maximum and canonicalizes only those that attain one, so a class
 count per (n, m) must come from ``canonical_codes``, never from it.
@@ -63,6 +64,7 @@ from .graphs import (
     _without_vertex,
     are_twins,
     canonical_form,
+    canonical_graph,
     from_graph6,
 )
 
@@ -143,9 +145,8 @@ class _ParentTest:
         rest = mask & ~(1 << u)
         return len(self.adj) > 1 and (not rest or not all(map(rest.__and__, self.parts[u])))
 
-    def child_rows(self, mask: int) -> tuple[int, ...] | None:
-        """The child's rows if it passes the test, else None."""
-        keys = self.keys(mask)
+    def child_rows(self, mask: int, keys: int) -> tuple[int, ...] | None:
+        """The child's rows if it passes the test, else None; ``keys`` is ``self.keys(mask)``."""
         less = rest = ~(keys + self.bias) & self.high  # the lanes below the parent's key
         while rest:
             bit = rest & -rest
@@ -165,9 +166,10 @@ class _ParentTest:
     def accepted(self, masks: list[int]) -> dict[int, tuple[int, ...]]:
         """The rows of each child that passes, by mask in mask order. The first cut refutes a mask of
         two or more vertices whose key puts a non-cut vertex's lane below the parent's, as child_rows would."""
-        keys, bias, noncut = self.keys, self.bias, self.noncut
-        left = [mask for mask in masks if not (mask & mask - 1 and ~(keys(mask) + bias) & noncut)]
-        return {mask: rows for mask in left if (rows := self.child_rows(mask)) is not None}
+        bias, noncut = self.bias, self.noncut
+        keyed = ((mask, self.keys(mask)) for mask in masks)
+        left = [(mask, keys) for mask, keys in keyed if not (mask & mask - 1 and ~(keys + bias) & noncut)]
+        return {mask: rows for mask, keys in left if (rows := self.child_rows(mask, keys)) is not None}
 
 
 def _masks(parent: Graph, n: int, m: int | None) -> list[int]:
@@ -189,18 +191,13 @@ def _masks(parent: Graph, n: int, m: int | None) -> list[int]:
     return [mask for mask in sorted(masks)[1:] if fewest <= mask.bit_count() <= most]
 
 
-def _accepted(parent: Graph, n: int, m: int | None) -> list[Graph]:
-    """Accepted children of one parent in mask order, sibling duplicates included."""
-    accepted = _ParentTest(parent).accepted(_masks(parent, n, m))
-    return [Graph._trusted(parent.n + 1, rows) for rows in accepted.values()]
-
-
-def _firsts(graphs: Iterable[Graph]) -> Iterator[Graph]:
-    """The first graph of each class, in order."""
+def _accepted(parent: Graph, masks: list[int]) -> list[Graph]:
+    """The first accepted child of each class, in mask order: the one place that drops sibling duplicates."""
     firsts: dict[CanonicalForm, Graph] = {}
-    for g in graphs:
+    for rows in _ParentTest(parent).accepted(masks).values():
+        g = Graph._trusted(parent.n + 1, rows)
         firsts.setdefault(canonical_form(g), g)
-    return iter(firsts.values())
+    return list(firsts.values())
 
 
 def _frontier_order(n: int) -> int:
@@ -211,14 +208,13 @@ def _frontier(n: int, m: int | None) -> list[Graph]:
     """The roots of the (n, m) generation tree's subtrees, in canonical order."""
     frontier = [Graph(1, (0,))]
     for _ in range(1, _frontier_order(n)):
-        frontier = [child for parent in frontier for child in _firsts(_accepted(parent, n, m))]
+        frontier = [child for parent in frontier for child in _accepted(parent, _masks(parent, n, m))]
     return sorted(frontier, key=canonical_form)
 
 
 def _leaf_batches(task: EnumerationTask) -> Iterator[tuple[Graph, list[Graph] | None]]:
-    """The walk of one task: each node below order n - 1 with its accepted children in mask order, sibling
-    duplicates included (the first child of each class is a later node, so none is tested twice), and each of order
-    n - 1 with None: its consumer tests the masks it needs. No leaf needs a size check: the masks add m - e edges."""
+    """The walk of one task: each node below order n - 1 with its ``_accepted`` children, each a later node, and each
+    of order n - 1 with None: its consumer tests the masks it needs. No leaf needs a size check: the masks add m - e."""
     n, m = task.n, task.m
     for root in _frontier(n, m) if task.roots is None else task.roots:
         stack = [root]
@@ -229,29 +225,27 @@ def _leaf_batches(task: EnumerationTask) -> Iterator[tuple[Graph, list[Graph] | 
             elif g.n == n - 1:
                 yield g, None
             else:
-                accepted = _accepted(g, n, m)
+                accepted = _accepted(g, _masks(g, n, m))
                 yield g, accepted
-                stack.extend(_firsts(accepted))
+                stack.extend(accepted)
+
+
+def walk_classes(task: EnumerationTask) -> Iterator[Graph]:
+    """Each class's first child as it stands, at every level of the task's walk: per parent, in reverse mask order."""
+    return (g for parent, leaves in _leaf_batches(task)
+            for g in reversed(_accepted(parent, _masks(parent, task.n, task.m)) if leaves is None else leaves))
 
 
 def canonical_codes(task: EnumerationTask) -> Iterator[CanonicalForm]:
-    """Each class's code, as ``canonical_form`` holds it, in ``connected_graphs``
-    order: per parent, the first leaf of each class, taken in reverse."""
-    for parent, leaves in _leaf_batches(task):
-        if parent.n == task.n - 1:  # None, or K1 for n = 1
-            yield from reversed(dict.fromkeys(map(canonical_form, leaves or _accepted(parent, task.n, task.m))))
+    """Each class's code, as ``canonical_form`` holds it (``_accepted`` has just
+    searched it), in ``connected_graphs`` order: the top level of ``walk_classes``."""
+    return (canonical_form(g) for g in walk_classes(task) if g.n == task.n)
 
 
 def connected_graphs(task: EnumerationTask) -> Iterator[Graph]:
     """Exactly one canonical representative per isomorphism class of
     connected graphs with the requested order (and size, if given)."""
     yield from map(from_graph6, canonical_codes(task))
-
-
-def walk_classes(task: EnumerationTask) -> Iterator[Graph]:
-    """Each class's first child as it stands, at every level of the task's walk, in ``canonical_codes`` order."""
-    return (g for parent, leaves in _leaf_batches(task) for g in reversed(list(_firsts(
-        _accepted(parent, task.n, task.m) if leaves is None else leaves))))
 
 
 def map_partitions(fn: Callable[[EnumerationTask], Any], orders: Iterable[int],
@@ -309,17 +303,12 @@ def _fold_task(svals: tuple[int, ...], orders: frozenset[int], task: Enumeration
         kept.append((parent, reach))
     for parent, reach in kept:  # test only the children that reach a task maximum
         picked = [(mask, m, values) for mask, m, values in reach if any(map(ge, values, maxima[m]))]
-        accepted = _ParentTest(parent).accepted([mask for mask, _, _ in picked]) if picked else {}
+        accepted = {g.adj[-1]: g for g in _accepted(parent, [mask for mask, _, _ in picked])} if picked else {}
         for mask, m, values in reversed(picked):
-            if (rows := accepted.get(mask)) is not None:
-                g = Graph._trusted(task.n, rows)
+            if (g := accepted.get(mask)) is not None:
                 for s, value in zip(svals, values):
                     _keep_max(best, (task.n, m, s), value, [g])
-    # a class's duplicates are siblings and attain together; its last sits where connected_graphs has it
-    for cell, (value, graphs) in best.items():
-        codes = dict.fromkeys(map(canonical_form, reversed(graphs)))
-        best[cell] = (value, [from_graph6(code) for code in reversed(codes)])
-    return best
+    return {cell: (value, list(map(canonical_graph, graphs))) for cell, (value, graphs) in best.items()}
 
 
 def argmax_fold(orders: Iterable[int], svals: Iterable[int], workers: int = 1) -> dict[int, dict]:

@@ -23,14 +23,15 @@ from cliquex import (
 from cliquex.enumeration import (
     _accepted,
     _degree_key,
-    _firsts,
     _fold_task,
     _frontier,
+    _masks,
     _ParentTest,
     map_partitions,
 )
 from cliquex.cliques import _subset_counts
 from cliquex.graphs import _is_cut_vertex, _without_vertex, are_twins
+from canonical_oracle import reference_canonical_form
 from conftest import as_networkx
 from labeled_oracle import labeled_classes
 from polya_oracle import connected_counts, graph_counts
@@ -69,7 +70,7 @@ def reference_is_canonical_child(child: Graph, parent_code: str) -> bool:
 def cut_and_rows(test: _ParentTest, masks: list[int]) -> tuple[list[int], dict[int, tuple[int, ...]]]:
     """The masks ``test.accepted`` hands on to ``child_rows``, in call order, and what it returns."""
     reached, child_rows = [], test.child_rows
-    test.child_rows = lambda mask: reached.append(mask) or child_rows(mask)
+    test.child_rows = lambda mask, keys: reached.append(mask) or child_rows(mask, keys)
     try:
         return reached, test.accepted(masks)
     finally:
@@ -91,7 +92,7 @@ def test_parent_test_matches_reference_rule():
             verdicts = {}
             for mask in range(1, 1 << k):
                 child = parent.add_vertex(u for u in range(k) if (mask >> u) & 1)
-                rows = test.child_rows(mask)
+                rows = test.child_rows(mask, test.keys(mask))
                 assert rows in (None, child.adj)
                 verdicts[mask] = reference_is_canonical_child(child, code)
                 assert (rows is not None) == verdicts[mask], (parent, mask)
@@ -106,7 +107,7 @@ def test_parent_test_matches_reference_rule():
             assert not any(verdicts[mask] for mask in cut), parent
             assert list(passed) == [mask for mask, verdict in verdicts.items() if verdict]
             refuted += len(cut)
-            for child in _firsts(_accepted(parent, 7, None)):
+            for child in _accepted(parent, _masks(parent, 7, None)):
                 assert child == parent.add_vertex(child.neighbors(k))
                 assert Graph(child.n, child.adj) == child
                 grown.append(child)
@@ -135,7 +136,7 @@ def test_parent_test_arithmetic_matches_the_rows():
                     assert lane == _degree_key(_without_vertex(rows, u).degrees()), (parent, mask, u)
                     assert test.is_cut(u, mask) == _is_cut_vertex(rows, u), (parent, mask, u)
                     checked += 1
-        level = [child for parent in level for child in _firsts(_accepted(parent, 7, None))]
+        level = [child for parent in level for child in _accepted(parent, _masks(parent, 7, None))]
     assert checked == sum(CONNECTED_TOTALS[k] * ((1 << k) - 1) * k for k in range(1, 7)) == 46000
 
 
@@ -147,8 +148,8 @@ def test_key_table_at_its_widest_matches_the_rows():
     ``child_rows`` rejects (7870 of them), and hands it the rest in mask
     order."""
     order_seven = [child for root in _frontier(9, None)[::32]
-                   for child in _firsts(_accepted(root, 9, None))]
-    order_eight = [next(_firsts(_accepted(parent, 9, None))) for parent in order_seven[::2]]
+                   for child in _accepted(root, _masks(root, 9, None))]
+    order_eight = [_accepted(parent, _masks(parent, 9, None))[0] for parent in order_seven[::2]]
     checked = refuted = 0
     for parent in order_seven + order_eight:
         k, test = parent.n, _ParentTest(parent)
@@ -165,8 +166,9 @@ def test_key_table_at_its_widest_matches_the_rows():
         reached, passed = cut_and_rows(test, masks)
         assert reached == sorted(set(reached)), parent
         cut = set(masks) - set(reached)
-        assert all(test.child_rows(mask) is None for mask in cut), parent
-        assert list(passed.items()) == [(mask, rows) for mask in masks if (rows := test.child_rows(mask)) is not None]
+        assert all(test.child_rows(mask, test.keys(mask)) is None for mask in cut), parent
+        rows = {mask: test.child_rows(mask, test.keys(mask)) for mask in masks}
+        assert list(passed.items()) == [(mask, row) for mask, row in rows.items() if row is not None]
         refuted += len(cut)
     assert {parent.n for parent in order_eight} == {8}
     assert checked == len(order_seven) * 127 * 7 + len(order_eight) * 255 * 8
@@ -247,11 +249,56 @@ def test_twin_pruning_loses_no_child(m):
     for _ in range(1, 7):
         grown = []
         for parent in level:
-            children = list(_firsts(_accepted(parent, 7, m)))
+            children = _accepted(parent, _masks(parent, 7, m))
             assert [c.adj for c in children] == [c.adj for c in reference_children(parent, 7, m)]
             grown.extend(children)
         level = grown
     assert sorted(canonical_form(g) for g in level) == sorted(class_codes(7, m))
+
+
+def _dropped_siblings(parent: Graph, masks: list[int], children: list[Graph]) -> int:
+    """Check that ``children``, ``_accepted(parent, masks)``, are pairwise non-isomorphic, that their
+    classes are those of every child the parent test passes, and that each is the first passing child
+    of its class in mask order, with classes told apart by the reference search. Return how many
+    passing children were dropped as siblings of an earlier one."""
+    passed = _ParentTest(parent).accepted(masks)
+    firsts: dict = {}  # reference code of each passing class: the rows of its first child in mask order
+    for rows in passed.values():
+        firsts.setdefault(reference_canonical_form(Graph(parent.n + 1, rows)), rows)
+    codes = [reference_canonical_form(g) for g in children]
+    assert len(set(codes)) == len(codes), parent
+    assert set(codes) == set(firsts), parent
+    assert [g.adj for g in children] == [firsts[code] for code in codes], parent
+    assert [g.adj[-1] for g in children] == sorted(g.adj[-1] for g in children), parent
+    return len(passed) - len(children)
+
+
+def test_accepted_keeps_the_first_child_of_each_class(monkeypatch):
+    """``_accepted`` is the one place that drops sibling duplicates. It
+    keeps exactly the first passing child of each class in mask order:
+    for every parent of the n = 7 tree, on the masks the walk tries and
+    on every mask, and on the top-order picks of the order-8 fold."""
+    dropped = 0
+    level = [Graph(1, (0,))]
+    for k in range(1, 7):
+        grown = []
+        for parent in level:
+            for masks in (_masks(parent, 7, None), list(range(1, 1 << k))):
+                dropped += _dropped_siblings(parent, masks, _accepted(parent, masks))
+            grown.extend(_accepted(parent, _masks(parent, 7, None)))
+        level = grown
+    assert len(level) == CONNECTED_TOTALS[7] and dropped
+
+    calls, accepted = [], enumeration._accepted
+
+    def recorded(parent, masks):
+        calls.append((parent, masks, accepted(parent, masks)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(enumeration, "_accepted", recorded)
+    argmax_fold([8], (3,))
+    picks = [call for call in calls if call[0].n == 7]
+    assert picks and sum(_dropped_siblings(*call) for call in picks)
 
 
 def _transposition_fixes(g: Graph, a: int, b: int) -> bool:
@@ -549,9 +596,9 @@ def test_argmax_fold_order_invariance():
 
 
 def test_argmax_fold_equals_a_fold_over_connected_graphs():
-    """The fold reads raw leaves, sibling duplicates included, tests only
-    the top order's children that reach a task maximum, and canonicalizes
-    only the attaining ones when a task ends. Its maxima and attaining
+    """The fold reads the walk's leaves as they stand, tests only the top
+    order's children that reach a task maximum, and canonicalizes only
+    the attaining ones when a task ends. Its maxima and attaining
     lists, order within them included, are those of a fold over the
     classes connected_graphs yields, at 1 and 2 workers: up to n = 7 for
     s in (3, 4, 5), and over the 11,117 classes of order 8, the largest
@@ -585,11 +632,11 @@ def _carried_counts(monkeypatch, task, svals):
 def test_fold_carries_each_leafs_size_and_clique_counts_from_its_parent(monkeypatch):
     """A leaf's n, m and k_s are its parent's plus the new vertex's mask
     term. They equal the from-scratch counts on every leaf the fold
-    folds (sibling duplicates included): every accepted child below the
-    top order, and the top order's children that reach a task maximum.
-    That is checked up to n = 8 and on the first order-9 root task, whose
-    walk folds every order above the frontier, 7 to 9, and against the
-    subset oracle up to n = 6 at every s from 3 to n + 1."""
+    folds: every accepted child below the top order, and the top order's
+    children that reach a task maximum. That is checked up to n = 8 and
+    on the first order-9 root task, whose walk folds every order above
+    the frontier, 7 to 9, and against the subset oracle up to n = 6 at
+    every s from 3 to n + 1."""
     from test_cliques import brute_count
 
     tasks = [EnumerationTask(n) for n in range(1, 9)]
@@ -623,7 +670,8 @@ def test_fold_tests_only_the_top_orders_children_that_reach_a_task_maximum(monke
     tested, reached = [], []
     accepted, child_rows = _ParentTest.accepted, _ParentTest.child_rows
     monkeypatch.setattr(_ParentTest, "accepted", lambda test, masks: tested.extend(masks) or accepted(test, masks))
-    monkeypatch.setattr(_ParentTest, "child_rows", lambda test, mask: reached.append(mask) or child_rows(test, mask))
+    monkeypatch.setattr(_ParentTest, "child_rows",
+                        lambda test, mask, keys: reached.append(mask) or child_rows(test, mask, keys))
     canonical_form.cache_clear()
     argmax_fold([8], (3,))
     assert (len(tested), len(reached), canonical_form.cache_info().misses) == (10488, 5104, 2607)
@@ -687,7 +735,7 @@ def test_one_walk_folds_every_order_above_the_frontier(monkeypatch):
     monkeypatch.setattr(enumeration, "_leaf_batches",
                         lambda task: walked.append((task.n, task.roots)) or leaf_batches(task))
     monkeypatch.setattr(enumeration, "_accepted",
-                        lambda parent, n, m: tested.append(parent) or accepted(parent, n, m))
+                        lambda parent, masks: tested.append(parent) or accepted(parent, masks))
     canonical_form.cache_clear()
     argmax_fold(range(3, 9), (3,))
     assert canonical_form.cache_info().misses == 2607

@@ -406,6 +406,7 @@ def test_erdos_bound_is_the_knapsack_of_connected_maxima():
     assert knapsack_counts(8, 1) == {n: KNAPSACK_COUNTS[n] for n in range(1, 9)}
 
 
+@pytest.mark.extended
 @pytest.mark.skipif(not EXTENDED, reason="set CLIQUEX_EXTENDED=1 for the n=9 fold")
 def test_erdos_bound_is_the_knapsack_of_connected_maxima_at_order_nine():
     assert knapsack_counts(9, 2) == KNAPSACK_COUNTS

@@ -315,7 +315,7 @@ def test_lemma_checks_run_on_the_folds_task_list(monkeypatch):
     monkeypatch.setattr(enumeration, "_leaf_batches",
                         lambda task: walked.append((task.n, task.roots)) or leaf_batches(task))
     monkeypatch.setattr(enumeration, "_accepted",
-                        lambda parent, n, m: tested.append(parent) or accepted(parent, n, m))
+                        lambda parent, masks: tested.append(parent) or accepted(parent, masks))
     body = verify_lemma_suite(0, 200, 8).to_json(timing=False).encode()
     assert hashlib.sha256(body).hexdigest() == "a91bbdc33bacc2a1992daf82b4b2974293ec39308b35ee9cfc1323452d645fce"
     order_six = [canonical_form(g) for g in tested if g.n == 6]
